@@ -6,10 +6,12 @@ lower bound and stops once the bound proves the incumbent optimal;
 ``evolutionary`` (warm-started from memoized per-shape winners, the repeat-
 session case) refines from the previous optimum under a hard budget.  This
 benchmark runs all three policies over the deduplicated ResNet-50 co-search
-on FEATHER, asserts winner identity, and records the trajectory —
-evaluation counts, wall time, identity — in ``BENCH_search.json`` at the
-repo root (the committed datapoints CI's ``bench_guard --gates budget``
-mirrors).
+on FEATHER, asserts winner identity, and prints the trajectory —
+evaluation counts, wall time, identity.  With ``REPRO_BENCH_RECORD=1`` the
+run is also appended to ``BENCH_search.json`` at the repo root (the
+committed datapoints CI's ``bench_guard --gates budget`` mirrors); without
+it the benchmark writes nothing, so a tier-1 run never changes a tracked
+file.
 
 Every recorded run also carries a ``compiled`` entry stating whether the
 numba JIT was importable; on the opt-in compiled leg
@@ -56,7 +58,15 @@ def _identical(result, winner) -> bool:
             and result.best_layout.name == winner.best_layout.name)
 
 
-def _record_run(policies, compiled) -> None:
+#: Opt-in switch: append the run to ``BENCH_search.json`` only when "1".
+RECORD_ENV = "REPRO_BENCH_RECORD"
+
+
+def _record_run(policies, compiled) -> bool:
+    """Append the run to ``BENCH_search.json`` when :data:`RECORD_ENV` is
+    ``1``; returns whether it did."""
+    if os.environ.get(RECORD_ENV) != "1":
+        return False
     history = {"benchmark": "budgeted-search", "runs": []}
     if BENCH_PATH.exists():
         try:
@@ -75,6 +85,7 @@ def _record_run(policies, compiled) -> None:
     history["runs"] = history["runs"][-50:]  # bounded trajectory
     BENCH_PATH.write_text(json.dumps(history, indent=2, sort_keys=True)
                           + "\n")
+    return True
 
 
 def _compiled_entry(best_of, shapes, arch, winners):
@@ -165,8 +176,11 @@ def test_budgeted_policies_reach_exhaustive_winner(best_of):
             "winner_identical": identical,
         }
     compiled = _compiled_entry(best_of, shapes, arch, winners)
-    _record_run(policies, compiled)
-    print(f"recorded in {BENCH_PATH.name} (compiled: {compiled})")
+    if _record_run(policies, compiled):
+        print(f"recorded in {BENCH_PATH.name} (compiled: {compiled})")
+    else:
+        print(f"not recorded (set {RECORD_ENV}=1 to append to "
+              f"{BENCH_PATH.name}; compiled: {compiled})")
 
     # Identity is the contract: a cheap wrong winner is a regression.
     assert rows["halving"][2], "halving winner drifted from exhaustive"

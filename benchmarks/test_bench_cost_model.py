@@ -7,7 +7,8 @@ candidate layout — both ways over the deduplicated ResNet-50 conv shapes:
   PR-1 path (dict-per-coordinate addressing, per-cycle Python concordance);
 * **batched** — one ``CostModel.evaluate_mapping_batch`` call per mapping
   (compiled layouts + ``(cycles, lanes, ndims)`` footprints +
-  ``analyze_concordance_batch``).
+  ``analyze_concordance_batch``), returning score records; reports are
+  assembled from them after timing, for the identity check.
 
 Two architectures are measured: SIGMA with off-chip reordering (the
 concordance analysis dominates) and FEATHER/RIR (concordance is skipped, so
@@ -25,7 +26,7 @@ from repro.dataflow.space import MappingSpace
 from repro.layout.library import conv_layout_library
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cosearch import unique_workloads
-from repro.layoutloop.cost_model import CostModel
+from repro.layoutloop.cost_model import CostModel, clear_slowdown_memo
 from repro.workloads.resnet50 import resnet50_layers
 
 MAPPINGS_PER_SHAPE = 8
@@ -49,6 +50,8 @@ def _run_scalar(model: CostModel, cases, layouts):
 
 
 def _run_batched(model: CostModel, cases, layouts):
+    # Every run times the kernel, not the previous run's slowdown memo.
+    clear_slowdown_memo()
     return [model.evaluate_mapping_batch(wl, mapping, layouts)
             for wl, mapping in cases]
 
@@ -79,6 +82,10 @@ def test_batched_evaluate_speedup(benchmark, arch_fn, min_speedup, best_of):
               f"{evals / seconds:10.0f}")
     print(f"speedup: {scalar_s / batched_s:.2f}x")
 
+    batched_reports = [[record.report(wl, mapping, layout)
+                        for record, layout in zip(records, layouts)]
+                       for records, (wl, mapping) in zip(batched_reports,
+                                                         cases)]
     assert batched_reports == scalar_reports  # bit-identical, report by report
     assert scalar_s >= min_speedup * batched_s, (
         f"batched path ({batched_s:.3f}s) not measurably faster than scalar "

@@ -31,6 +31,7 @@ callers that parallelise differently; result-shaping knobs (``policy``,
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
@@ -97,6 +98,15 @@ def _normalize(obj, name: str, value):
     object.__setattr__(obj, name, value)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int, or a typed 4xx: a bool, a fractional number or a
+    string is rejected, never coerced (``true`` is not 1, ``2.7`` is not 2)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidRequestError(
+            f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EvalRequest(_RequestBase):
     """Price one (workload, mapping, layout) cell on one backend."""
@@ -122,7 +132,7 @@ class EvalRequest(_RequestBase):
         if not isinstance(self.backend, str) or not self.backend:
             raise InvalidRequestError(
                 f"backend must be a registry name, got {self.backend!r}")
-        _normalize(self, "seed", int(self.seed))
+        _normalize(self, "seed", _integer("seed", self.seed))
 
 
 @dataclass(frozen=True)
@@ -225,7 +235,7 @@ class SearchRequest(_RequestBase):
             raise InvalidRequestError(
                 f"policy must be one of {_POLICIES}, got {self.policy!r}")
         if self.budget is not None:
-            if int(self.budget) < 1:
+            if _integer("budget", self.budget) < 1:
                 raise InvalidRequestError(
                     f"budget must be >= 1 (or None), got {self.budget}")
             if self.policy == "exhaustive":
@@ -236,10 +246,10 @@ class SearchRequest(_RequestBase):
                 raise InvalidRequestError(
                     "max_mappings must be a positive integer or 'auto', "
                     f"got {self.max_mappings!r}")
-        elif int(self.max_mappings) < 1:
+        elif _integer("max_mappings", self.max_mappings) < 1:
             raise InvalidRequestError(
                 f"max_mappings must be >= 1, got {self.max_mappings}")
-        if self.workers is not None and int(self.workers) < 1:
+        if self.workers is not None and _integer("workers", self.workers) < 1:
             raise InvalidRequestError(
                 f"workers must be >= 1 (or None), got {self.workers}")
         if not isinstance(self.backend, str) or not self.backend:
@@ -281,7 +291,7 @@ class SearchRequest(_RequestBase):
                        tuple(str(n) for n in self.layouts))
         if self.max_mappings != "auto":
             _normalize(self, "max_mappings", int(self.max_mappings))
-        _normalize(self, "seed", int(self.seed))
+        _normalize(self, "seed", _integer("seed", self.seed))
         if self.budget is not None:
             _normalize(self, "budget", int(self.budget))
         if self.workers is not None:
@@ -324,7 +334,7 @@ class SweepRequest(_RequestBase):
                 raise InvalidRequestError(
                     "pass either inline scenarios or a filter, not both")
             _normalize(self, "scenarios", tuple(self.scenarios))
-        if self.workers is not None and int(self.workers) < 1:
+        if self.workers is not None and _integer("workers", self.workers) < 1:
             raise InvalidRequestError(
                 f"workers must be >= 1 (or None), got {self.workers}")
         if self.workers is not None:

@@ -55,11 +55,11 @@ class AnalyticalBackend(EvaluationBackend):
 
     def evaluate_mapping(self, workload, mapping,
                          layouts: Sequence) -> List[BackendReport]:
-        if self.vectorize:
-            scored = self.cache.evaluate_batch(self.cost_model, workload,
-                                               mapping, layouts)
-        else:
-            scored = [self.cache.evaluate(self.cost_model, workload, mapping,
-                                          layout) for layout in layouts]
-        return [report_from_cost(report, backend=self.name)
-                for report, _ in scored]
+        if not self.vectorize:
+            return [self.evaluate(workload, mapping, layout)
+                    for layout in layouts]
+        scored = self.cache.evaluate_batch(self.cost_model, workload,
+                                           mapping, layouts)
+        return [report_from_cost(record.report(workload, mapping, layout),
+                                 backend=self.name)
+                for layout, (record, _) in zip(layouts, scored)]

@@ -27,7 +27,7 @@ evaluations of an illegal cell fail with the violated constraint named.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.backends.base import BackendReport, EvaluationBackend
 from repro.backends.simulator import BackendCompatibilityError
@@ -95,37 +95,48 @@ class NocBackend(EvaluationBackend):
 
     # -------------------------------------------------------------- evaluate
     def evaluate(self, workload, mapping, layout) -> BackendReport:
-        cost, _ = self._energy_cache.evaluate(self._cost_model, workload,
-                                              mapping, layout)
+        return self.evaluate_mapping(workload, mapping, [layout])[0]
+
+    def evaluate_mapping(self, workload, mapping,
+                         layouts: Sequence) -> List[BackendReport]:
+        """Price the mapping's reduction once (it is layout-independent) on
+        top of every layout's analytical cost, scored in one batched cache
+        pass."""
+        scored = self._energy_cache.evaluate_batch(self._cost_model,
+                                                   workload, mapping, layouts)
         cycles_per_step, adds_per_step = self._reduction_cycles(mapping)
         # The analytical model already accounts one accumulate per step;
         # anything beyond it is exposed reduction latency.
         exposed_per_step = max(0, cycles_per_step - 1)
         steps = mapping.compute_cycles(workload)
         exposed = float(exposed_per_step) * float(steps)
-        total_cycles = cost.total_cycles + exposed
         num_pes = self.arch.num_pes
-        practical = (cost.macs / (total_cycles * num_pes)
-                     if total_cycles else 0.0)
-        return BackendReport(
-            backend=self.name,
-            workload=cost.workload,
-            arch=cost.arch,
-            mapping=cost.mapping,
-            layout=cost.layout,
-            macs=cost.macs,
-            compute_cycles=cost.compute_cycles,
-            slowdown=cost.slowdown,
-            stall_cycles=cost.stall_cycles + exposed,
-            reorder_cycles_exposed=cost.reorder_cycles_exposed,
-            total_cycles=total_cycles,
-            utilization=cost.utilization,
-            practical_utilization=min(1.0, practical),
-            energy_breakdown_pj=dict(cost.energy_breakdown_pj),
-            extra={
-                "reduction_group": float(mapping.spatial_reduction_size),
-                "reduction_cycles_per_step": float(cycles_per_step),
-                "reduction_adds_per_step": float(adds_per_step),
-                "reduction_cycles_exposed": exposed,
-            },
-        )
+        reports = []
+        for layout, (record, _) in zip(layouts, scored):
+            cost = record.report(workload, mapping, layout)
+            total_cycles = cost.total_cycles + exposed
+            practical = (cost.macs / (total_cycles * num_pes)
+                         if total_cycles else 0.0)
+            reports.append(BackendReport(
+                backend=self.name,
+                workload=cost.workload,
+                arch=cost.arch,
+                mapping=cost.mapping,
+                layout=cost.layout,
+                macs=cost.macs,
+                compute_cycles=cost.compute_cycles,
+                slowdown=cost.slowdown,
+                stall_cycles=cost.stall_cycles + exposed,
+                reorder_cycles_exposed=cost.reorder_cycles_exposed,
+                total_cycles=total_cycles,
+                utilization=cost.utilization,
+                practical_utilization=min(1.0, practical),
+                energy_breakdown_pj=cost.energy_breakdown_pj,
+                extra={
+                    "reduction_group": float(mapping.spatial_reduction_size),
+                    "reduction_cycles_per_step": float(cycles_per_step),
+                    "reduction_adds_per_step": float(adds_per_step),
+                    "reduction_cycles_exposed": exposed,
+                },
+            ))
+        return reports

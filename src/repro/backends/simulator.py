@@ -26,7 +26,7 @@ Scope and conventions:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,9 +159,22 @@ class SimulatorBackend(EvaluationBackend):
 
     # -------------------------------------------------------------- protocol
     def evaluate(self, workload, mapping, layout) -> BackendReport:
-        stats = self._simulate(workload, layout)
-        cost, _ = self._energy_cache.evaluate(self._cost_model, workload,
-                                              mapping, layout)
+        return self.evaluate_mapping(workload, mapping, [layout])[0]
+
+    def evaluate_mapping(self, workload, mapping,
+                         layouts: Sequence) -> List[BackendReport]:
+        """Simulate every layout, then borrow all the layouts' analytical
+        energy from one batched cache pass."""
+        stats = [self._simulate(workload, layout) for layout in layouts]
+        scored = self._energy_cache.evaluate_batch(self._cost_model,
+                                                   workload, mapping, layouts)
+        return [self._report(workload, mapping, layout, cell,
+                             record.energy_breakdown_pj)
+                for layout, cell, (record, _) in zip(layouts, stats, scored)]
+
+    def _report(self, workload, mapping, layout, stats: ExecutionStats,
+                energy_breakdown_pj: Dict[str, float]) -> BackendReport:
+        """The common report of one simulated cell."""
         batches = getattr(workload, "n", 1) if isinstance(
             workload, ConvLayerSpec) else 1
         macs = workload.macs
@@ -185,7 +198,7 @@ class SimulatorBackend(EvaluationBackend):
                          if compute_cycles else 0.0),
             practical_utilization=(macs / (total_cycles * num_pes)
                                    if total_cycles else 0.0),
-            energy_breakdown_pj=dict(cost.energy_breakdown_pj),
+            energy_breakdown_pj=energy_breakdown_pj,
             extra={
                 "seed": float(self.seed),
                 "read_slowdown": stats.read_slowdown,

@@ -11,7 +11,8 @@ Timing comes from the systolic pipeline: the mapping's M-parallel and
 reduction-parallel degrees configure the array's two physical axes, and
 cycles are the ``passes * (stream + fill/drain)`` estimate of
 :meth:`SystolicArray.run_gemm` (convs lower through im2col).  Energy is
-borrowed from the analytical cost model per (mapping, layout) cell —
+borrowed from the analytical cost model per (mapping, layout) cell, one
+batched cache pass per mapping —
 mirroring the simulator backend — so energy columns stay comparable across
 backends and the layout axis stays meaningful.
 
@@ -22,7 +23,7 @@ array's legal loop orders and M x C/K parallelism before scoring.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 from repro.backends.base import BackendReport, EvaluationBackend
 from repro.baselines.systolic import SystolicArray
@@ -58,8 +59,14 @@ class SystolicBackend(EvaluationBackend):
                              name=f"systolic:{self.arch.name}")
 
     def evaluate(self, workload, mapping, layout) -> BackendReport:
-        cost, _ = self._energy_cache.evaluate(self._cost_model, workload,
-                                              mapping, layout)
+        return self.evaluate_mapping(workload, mapping, [layout])[0]
+
+    def evaluate_mapping(self, workload, mapping,
+                         layouts: Sequence) -> List[BackendReport]:
+        """Time the mapping once (systolic timing is layout-independent) and
+        borrow every layout's analytical energy from one batched cache pass."""
+        scored = self._energy_cache.evaluate_batch(self._cost_model,
+                                                   workload, mapping, layouts)
         array = self._array_for(mapping)
         if isinstance(workload, ConvLayerSpec):
             timing = array.run_conv(workload)
@@ -72,12 +79,13 @@ class SystolicBackend(EvaluationBackend):
         num_pes = self.arch.num_pes
         practical = (timing.macs / (total_cycles * num_pes)
                      if total_cycles else 0.0)
-        return BackendReport(
+        workload_name = getattr(workload, "name", str(workload))
+        return [BackendReport(
             backend=self.name,
-            workload=cost.workload,
-            arch=cost.arch,
-            mapping=cost.mapping,
-            layout=cost.layout,
+            workload=workload_name,
+            arch=self.arch.name,
+            mapping=mapping.name,
+            layout=layout.name,
             macs=timing.macs,
             compute_cycles=compute,
             slowdown=total_cycles / compute if compute else 1.0,
@@ -86,11 +94,11 @@ class SystolicBackend(EvaluationBackend):
             total_cycles=total_cycles,
             utilization=min(1.0, timing.utilization),
             practical_utilization=min(1.0, practical),
-            energy_breakdown_pj=dict(cost.energy_breakdown_pj),
+            energy_breakdown_pj=record.energy_breakdown_pj,
             extra={
                 "fill_drain_cycles": float(timing.fill_drain_cycles),
                 "parallel_m": float(array.parallel_m),
                 "parallel_k": float(array.parallel_k),
                 "macs_per_cycle": float(timing.macs_per_cycle),
             },
-        )
+        ) for layout, (record, _) in zip(layouts, scored)]

@@ -30,6 +30,30 @@ GEMM_STREAM_DIMS: Tuple[str, ...] = ("M", "K")
 """Coordinate-column order of GEMM input footprints."""
 
 
+CONV_STREAM_PARALLEL_DIMS: Tuple[str, ...] = ("C", "P", "Q", "R", "S")
+"""Conv dimensions whose parallel degrees shape the iAct footprint."""
+
+GEMM_STREAM_PARALLEL_DIMS: Tuple[str, ...] = ("M", "K")
+"""GEMM dimensions whose parallel degrees shape the input footprint."""
+
+
+def streaming_parallel_degrees(workload, mapping) -> Tuple[int, ...]:
+    """The only mapping quantities the streaming footprint depends on.
+
+    Two mappings with equal degrees (and the same workload shape) have the
+    same footprint whatever their loop order, tile or other parallel
+    dimensions — the key the cost model memoizes slowdowns on.
+    """
+    if isinstance(workload, ConvLayerSpec):
+        dims = CONV_STREAM_PARALLEL_DIMS
+    elif isinstance(workload, GemmSpec):
+        dims = GEMM_STREAM_PARALLEL_DIMS
+    else:
+        raise TypeError(f"unsupported workload {type(workload)!r}")
+    deg = mapping.parallel_dims
+    return tuple(max(1, deg.get(dim, 1)) for dim in dims)
+
+
 def conv_iact_coords_batch(layer: ConvLayerSpec, mapping,
                            bases: Sequence[Tuple[int, int, int]],
                            compiled: bool = False) -> np.ndarray:

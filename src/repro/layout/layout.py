@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 
@@ -66,8 +67,11 @@ class Layout:
     def intra_dims(self) -> Tuple[str, ...]:
         return tuple(e.dim for e in self.intra)
 
-    @property
+    @cached_property
     def name(self) -> str:
+        # Cached: the fields are frozen, and the name is every cache key's
+        # layout signature and every report's label.  The cache lives in
+        # the instance ``__dict__``, so field-based eq/hash are unaffected.
         inter = "".join(self.inter_order)
         intra = "".join(f"{e.dim}{e.size}" for e in self.intra)
         return f"{inter}_{intra}" if intra else inter

@@ -21,17 +21,23 @@ results normalized to FEATHER, which is how the paper presents Fig. 13.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.dataflow.mapping import Mapping
 from repro.kernel.concordance import analyze_concordance_batch
-from repro.kernel.footprint import streaming_access_coords
+from repro.kernel.footprint import (
+    streaming_access_coords,
+    streaming_parallel_degrees,
+)
 from repro.layout.concordance import analyze_concordance
 from repro.layout.layout import Layout
 from repro.layout.patterns import ReorderImplementation, ReorderPattern
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.energy import DEFAULT_ENERGY_TABLE, EnergyTable
+from repro.search.signatures import workload_signature
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 
@@ -40,10 +46,9 @@ from repro.workloads.gemm import GemmSpec
 class CostReport:
     """Latency/energy estimate for one (workload, mapping, layout) on one arch.
 
-    Reports are immutable: instances are memoized by the search engine's
-    :class:`~repro.search.cache.EvaluationCache`, so treat
-    ``energy_breakdown_pj`` as read-only too (build a modified copy with
-    ``dataclasses.replace`` and a fresh dict for what-if studies).
+    Assembled on demand from a :class:`ScoreRecord` (the search engine
+    caches and ranks records, and builds a report only for the winner);
+    every report owns a fresh ``energy_breakdown_pj`` dict.
     """
 
     workload: str
@@ -98,6 +103,97 @@ class CostReport:
     def latency_seconds(self, frequency_mhz: float) -> float:
         """Wall-clock latency (seconds) at the given clock (MHz)."""
         return self.total_cycles / (frequency_mhz * 1e6)
+
+
+@dataclass(frozen=True)
+class MappingTerms:
+    """The layout-independent cost terms of one (workload, mapping) on one arch.
+
+    Computed once per mapping by :meth:`CostModel.mapping_terms` and shared
+    by the :class:`ScoreRecord` of every layout scored under that mapping.
+    """
+
+    arch: str
+    """Name of the architecture."""
+    macs: int
+    """Multiply-accumulate operations the layer performs (count)."""
+    num_pes: int
+    """PEs of the architecture's array (count)."""
+    compute_cycles: float
+    """Ideal compute latency of the mapping (cycles), before stalls."""
+    utilization: float
+    """Steady-state MAC utilization of the array (fraction, 0..1)."""
+    reorder_cycles_exposed: float
+    """Cycles the layout-reordering mechanism adds on the critical path."""
+    energy_parts_pj: Dict[str, float]
+    """Energy per component (pJ), reorder energy included, with
+    ``buffer_read`` before its slowdown scaling.  Shared: read-only."""
+
+
+class ScoreRecord(NamedTuple):
+    """The score of one (workload, mapping, layout): a slowdown plus the
+    mapping's shared :class:`MappingTerms`.
+
+    The search engine ranks candidates on these records and assembles a
+    full :class:`CostReport` only for the winner, with :meth:`report`.  The
+    metric properties repeat the report's float operations in the same
+    order, so they are bit-identical to the assembled report's values.
+    """
+
+    slowdown: float
+    """Average bank-conflict slowdown factor (dimensionless, >= 1)."""
+    terms: MappingTerms
+    """The layout-independent terms of the scored mapping."""
+
+    @property
+    def total_cycles(self) -> float:
+        """End-to-end latency (cycles): compute + stalls + exposed reorder."""
+        terms = self.terms
+        compute_cycles = terms.compute_cycles
+        return (compute_cycles + compute_cycles * (self.slowdown - 1.0)
+                + terms.reorder_cycles_exposed)
+
+    @property
+    def energy_breakdown_pj(self) -> Dict[str, float]:
+        """Energy per component (pJ), as a fresh dict."""
+        breakdown = dict(self.terms.energy_parts_pj)
+        breakdown["buffer_read"] = breakdown["buffer_read"] * self.slowdown
+        return breakdown
+
+    @property
+    def total_energy_pj(self) -> float:
+        """Total energy over all components (pJ)."""
+        return sum(self.energy_breakdown_pj.values())
+
+    @property
+    def edp(self) -> float:
+        """Energy-delay product (pJ * cycles)."""
+        return self.total_energy_pj * self.total_cycles
+
+    def report(self, workload, mapping: Mapping, layout: Layout) -> CostReport:
+        """The full report of this score, labelled with the caller's names."""
+        terms = self.terms
+        compute_cycles = terms.compute_cycles
+        stall_cycles = compute_cycles * (self.slowdown - 1.0)
+        total_cycles = (compute_cycles + stall_cycles
+                        + terms.reorder_cycles_exposed)
+        return CostReport(
+            workload=_workload_name(workload),
+            arch=terms.arch,
+            mapping=mapping.name,
+            layout=layout.name,
+            macs=terms.macs,
+            compute_cycles=compute_cycles,
+            slowdown=self.slowdown,
+            stall_cycles=stall_cycles,
+            reorder_cycles_exposed=terms.reorder_cycles_exposed,
+            total_cycles=total_cycles,
+            utilization=terms.utilization,
+            practical_utilization=(
+                terms.macs / (total_cycles * terms.num_pes)
+                if total_cycles else 0.0),
+            energy_breakdown_pj=self.energy_breakdown_pj,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +259,53 @@ def _gemm_input_coords(gemm: GemmSpec, mapping: Mapping,
     return coords
 
 
+class BoundedMemo:
+    """A thread-safe least-recently-used memo holding at most ``maxsize``
+    entries (``None`` is never a stored value)."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[Tuple, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def get(self, key: Tuple):
+        """The value stored for ``key`` (now most recent), or None."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Tuple, value) -> None:
+        """Store ``value``, evicting the least recently used beyond the bound."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            if len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+#: Per-layout slowdown vectors of the batched kernel, shared by every
+#: :class:`CostModel` of the process (see :meth:`CostModel.estimate_slowdown_batch`).
+#: Process-wide like :func:`repro.kernel.compiled._compile`'s cache: a value
+#: is a pure function of its key, so sharing changes no result, and one
+#: bound caps the memory of every model a long-lived session builds.
+_SLOWDOWNS = BoundedMemo(maxsize=4096)
+
+
+def clear_slowdown_memo() -> None:
+    """Forget every memoized slowdown vector (for timing the bare kernel)."""
+    _SLOWDOWNS.clear()
+
+
 def _workload_name(workload) -> str:
     """The workload's display name (``getattr`` with a lazy str fallback)."""
     try:
@@ -203,36 +346,30 @@ class CostModel:
         This is the scalar reference path; the search engine's hot loop runs
         :meth:`evaluate_mapping_batch`, which is bit-identical.
         """
-        slowdown = self.estimate_slowdown(workload, mapping, layout)
-        return self._assemble_report(workload, mapping, layout, slowdown,
-                                     mapping.compute_cycles(workload),
-                                     self.reorder_costs(workload),
-                                     self._energy_breakdown_parts(workload, mapping))
+        return self.score(workload, mapping, layout).report(workload, mapping,
+                                                            layout)
+
+    def score(self, workload, mapping: Mapping, layout: Layout) -> "ScoreRecord":
+        """Score record of one (workload, mapping, layout), scalar path."""
+        return ScoreRecord(self.estimate_slowdown(workload, mapping, layout),
+                           self.mapping_terms(workload, mapping))
 
     def evaluate_mapping_batch(self, workload, mapping: Mapping,
-                               layouts: Sequence[Layout]) -> List[CostReport]:
-        """Reports of one mapping under every candidate layout, vectorized.
+                               layouts: Sequence[Layout]) -> List["ScoreRecord"]:
+        """Score records of one mapping under every candidate layout.
 
-        Everything layout-independent (compute cycles, reorder costs, the
-        energy breakdown apart from the slowdown-scaled buffer reads) is
-        computed once; the per-layout slowdowns come from the batched
-        concordance kernel.  Bit-identical to calling :meth:`evaluate` per
-        layout — the same floats in the same order.
+        The layout-independent terms are computed once and shared by every
+        record; the per-layout slowdowns come from the batched (memoized)
+        concordance kernel.  Each record's metrics and assembled report are
+        bit-identical to :meth:`evaluate` for its layout.
         """
-        layouts = list(layouts)
-        compute_cycles = mapping.compute_cycles(workload)
-        reorder = self.reorder_costs(workload)
-        parts = self._energy_breakdown_parts(workload, mapping)
-        slowdowns = self.estimate_slowdown_batch(workload, mapping, layouts)
-        workload_name = _workload_name(workload)
-        return [self._assemble_report(workload, mapping, layout, slowdown,
-                                      compute_cycles, reorder, parts,
-                                      workload_name=workload_name)
-                for layout, slowdown in zip(layouts, slowdowns)]
+        terms = self.mapping_terms(workload, mapping)
+        return [ScoreRecord(slowdown, terms) for slowdown in
+                self.estimate_slowdown_batch(workload, mapping, layouts)]
 
     def evaluate_batch(self, workload, mappings: Sequence[Mapping],
-                       layouts: Sequence[Layout]) -> List[List[CostReport]]:
-        """Reports for the whole (mappings x layouts) cross product.
+                       layouts: Sequence[Layout]) -> List[List["ScoreRecord"]]:
+        """Score records for the whole (mappings x layouts) cross product.
 
         Returns one inner list per mapping, in input order.  This is the
         entry point :class:`~repro.layoutloop.mapper.Mapper` and
@@ -242,40 +379,24 @@ class CostModel:
         return [self.evaluate_mapping_batch(workload, mapping, layouts)
                 for mapping in mappings]
 
-    def _assemble_report(self, workload, mapping: Mapping, layout: Layout,
-                         slowdown: float, compute_cycles: float,
-                         reorder: Tuple[float, float],
-                         breakdown_parts: Dict[str, float],
-                         workload_name: Optional[str] = None) -> CostReport:
-        """Build one report from precomputed mapping-level quantities."""
-        macs = workload.macs
-        utilization = macs / (compute_cycles * self.arch.num_pes) if compute_cycles else 0.0
-        stall_cycles = compute_cycles * (slowdown - 1.0)
-        reorder_exposed, reorder_energy = reorder
-        total_cycles = compute_cycles + stall_cycles + reorder_exposed
-        practical_utilization = macs / (total_cycles * self.arch.num_pes) if total_cycles else 0.0
-
-        breakdown = dict(breakdown_parts)
-        breakdown["buffer_read"] = breakdown["buffer_read"] * slowdown
+    def mapping_terms(self, workload, mapping: Mapping) -> "MappingTerms":
+        """The layout-independent terms of one (workload, mapping)."""
+        compute_cycles = mapping.compute_cycles(workload)
+        reorder_exposed, reorder_energy = self.reorder_costs(workload)
+        parts = self._energy_breakdown_parts(workload, mapping)
         if reorder_energy:
-            breakdown["reorder"] = breakdown.get("reorder", 0.0) + reorder_energy
-
-        if workload_name is None:
-            workload_name = _workload_name(workload)
-        return CostReport(
-            workload=workload_name,
+            parts["reorder"] = parts.get("reorder", 0.0) + reorder_energy
+        macs = workload.macs
+        num_pes = self.arch.num_pes
+        return MappingTerms(
             arch=self.arch.name,
-            mapping=mapping.name,
-            layout=layout.name,
             macs=macs,
+            num_pes=num_pes,
             compute_cycles=compute_cycles,
-            slowdown=slowdown,
-            stall_cycles=stall_cycles,
+            utilization=(macs / (compute_cycles * num_pes)
+                         if compute_cycles else 0.0),
             reorder_cycles_exposed=reorder_exposed,
-            total_cycles=total_cycles,
-            utilization=utilization,
-            practical_utilization=practical_utilization,
-            energy_breakdown_pj=breakdown,
+            energy_parts_pj=parts,
         )
 
     # -------------------------------------------------------------- slowdown
@@ -309,9 +430,30 @@ class CostModel:
         array (:mod:`repro.kernel.footprint`) and every layout is addressed
         through its compiled stride vectors in one batched concordance pass.
         Values are bit-identical to :meth:`estimate_slowdown` per layout.
+
+        The footprint reads only the mapping's streaming parallel degrees,
+        so the slowdown vector is memoized on exactly the kernel's inputs:
+        buffer geometry and reorder pattern, workload shape, those degrees
+        and the layout names.  Mappings that differ only in loop order,
+        tile or broadcast parallelism share one kernel run.
         """
         if self.arch.reorder_implementation is ReorderImplementation.RIR:
             return [1.0] * len(layouts)
+        buffer = self.arch.buffer
+        key = (buffer.ports_per_bank, buffer.conflict_depth, buffer.banks,
+               self.arch.reorder_pattern, workload_signature(workload),
+               streaming_parallel_degrees(workload, mapping),
+               tuple(layout.name for layout in layouts), self.compile)
+        slowdowns = _SLOWDOWNS.get(key)
+        if slowdowns is None:
+            slowdowns = tuple(self._kernel_slowdowns(workload, mapping,
+                                                     layouts))
+            _SLOWDOWNS.put(key, slowdowns)
+        return list(slowdowns)
+
+    def _kernel_slowdowns(self, workload, mapping: Mapping,
+                          layouts: Sequence[Layout]) -> List[float]:
+        """One unmemoized run of the batched concordance kernel."""
         dims = streaming_tensor_dims(workload)
         coords, dim_names = streaming_access_coords(workload, mapping,
                                                     _SAMPLE_BASES,

@@ -9,9 +9,11 @@ fully flexible designs enumerate parallelism assignments and loop orders),
 optionally samples it, and scores every candidate with the cost model under
 each candidate layout.
 
-Candidate scoring runs through :mod:`repro.search`: full cost-model
-evaluations are memoized in an :class:`~repro.search.cache.EvaluationCache`
-(shareable across mappers) and mappings whose admissible lower bound
+Candidate scoring runs through :mod:`repro.search`: cost-model scores are
+memoized as compact :class:`~repro.layoutloop.cost_model.ScoreRecord`
+entries in an :class:`~repro.search.cache.EvaluationCache` (shareable
+across mappers), the full report is assembled only for the winner, and
+mappings whose admissible lower bound
 (:mod:`repro.search.bounds`) already exceeds the incumbent best are skipped
 without evaluating any layout.  Both optimisations are exact — the search
 returns the same best (mapping, layout) pair it would have found
@@ -42,7 +44,7 @@ from repro.dataflow.space import MappingSpace
 from repro.layout.layout import Layout, parse_layout
 from repro.layout.library import conv_layout_library, gemm_layout_library
 from repro.layoutloop.arch import ArchSpec
-from repro.layoutloop.cost_model import CostModel, CostReport
+from repro.layoutloop.cost_model import CostModel, CostReport, ScoreRecord
 from repro.layoutloop.energy import EnergyTable
 from repro.search.bounds import cached_bound_statics, metric_lower_bound
 from repro.search.cache import EvaluationCache
@@ -94,7 +96,8 @@ class SearchResult:
         return _metric_value(self.best_report, self.metric)
 
 
-def _metric_value(report: CostReport, metric: str) -> float:
+def _metric_value(report, metric: str) -> float:
+    """``metric`` of a report or :class:`ScoreRecord` (same value for both)."""
     if metric == "edp":
         return report.edp
     if metric == "latency":
@@ -102,6 +105,15 @@ def _metric_value(report: CostReport, metric: str) -> float:
     if metric == "energy":
         return report.total_energy_pj
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def _winner_report(best, workload, mapping: Mapping, layout: Layout):
+    """The winner's full report.  The analytical batch path scores with
+    :class:`ScoreRecord` entries, assembled here once with the winner's
+    labels; every other path already scored with reports."""
+    if isinstance(best, ScoreRecord):
+        return best.report(workload, mapping, layout)
+    return best
 
 
 class Mapper:
@@ -443,7 +455,7 @@ class Mapper:
         bounds = (mappings.bounds(self.metric, statics).tolist()
                   if self.bulk and statics is not None else None)
 
-        best: Optional[CostReport] = None
+        best = None  # the winner's score record (or report)
         best_value = math.inf
         best_mapping: Optional[Mapping] = None
         best_layout: Optional[Layout] = None
@@ -472,18 +484,19 @@ class Mapper:
                 scored = [self.evaluation_cache.evaluate(
                     self.cost_model, workload, mapping, layout)
                     for layout in layouts]
-            for layout, (report, hit) in zip(layouts, scored):
+            for layout, (score, hit) in zip(layouts, scored):
                 evaluated += 1
                 cache_hits += hit
-                value = _metric_value(report, self.metric)
+                value = _metric_value(score, self.metric)
                 if best is None or value < best_value:
-                    best, best_mapping, best_layout = report, mapping, layout
+                    best, best_mapping, best_layout = score, mapping, layout
                     best_value = value
 
         result = SearchResult(
             workload=getattr(workload, "name", str(workload)),
             arch=self.arch.name,
-            best_report=best,
+            best_report=_winner_report(best, workload, best_mapping,
+                                       best_layout),
             best_mapping=best_mapping,
             best_layout=best_layout,
             evaluated=evaluated,

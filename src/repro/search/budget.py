@@ -45,7 +45,12 @@ import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from repro.layoutloop.mapper import Mapper, SearchResult, _metric_value
+from repro.layoutloop.mapper import (
+    Mapper,
+    SearchResult,
+    _metric_value,
+    _winner_report,
+)
 from repro.search.bounds import cached_bound_statics, metric_lower_bound
 from repro.search.bulk import BulkUniverse, candidate_universe
 from repro.search.signatures import mapping_signature, workload_signature
@@ -70,7 +75,8 @@ def _score_mapping(mapper: Mapper, workload, mapping, layouts
                    ) -> List[Tuple[object, bool]]:
     """Score one mapping under every layout, exactly as the exhaustive loop.
 
-    Returns ``[(report, was_cache_hit), ...]`` in layout order; the three
+    Returns ``[(score, was_cache_hit), ...]`` in layout order — score
+    records on the batched analytical path, reports otherwise; the three
     branches (backend / batched cache / scalar cache) mirror
     :meth:`Mapper.search` so every policy produces bit-identical reports.
     """
@@ -118,10 +124,10 @@ def _cheap_rung(mapper: Mapper, workload, mappings, layouts
                 mapper.prune)
     scores = []
     for mapping in mappings:
-        reports = mapper.cost_model.evaluate_mapping_batch(workload, mapping,
+        records = mapper.cost_model.evaluate_mapping_batch(workload, mapping,
                                                            layouts)
-        scores.append(min(_metric_value(report, mapper.metric)
-                          for report in reports))
+        scores.append(min(_metric_value(record, mapper.metric)
+                          for record in records))
     return scores, False
 
 
@@ -131,7 +137,7 @@ def _finish(mapper: Mapper, workload, state) -> SearchResult:
     return SearchResult(
         workload=getattr(workload, "name", str(workload)),
         arch=mapper.arch.name,
-        best_report=best,
+        best_report=_winner_report(best, workload, best_mapping, best_layout),
         best_mapping=best_mapping,
         best_layout=best_layout,
         evaluated=evaluated,
@@ -149,7 +155,7 @@ class _Incumbent:
         self.workload = workload
         self.layouts = layouts
         self.key: Optional[Tuple[float, int, int]] = None
-        self.report = None
+        self.best = None
         self.mapping = None
         self.layout = None
         self.min_values = {}  # mapping index -> min metric value over layouts
@@ -161,16 +167,16 @@ class _Incumbent:
         scored = _score_mapping(self.mapper, self.workload, mapping,
                                 self.layouts)
         vmin = math.inf
-        for layout_idx, (report, hit) in enumerate(scored):
+        for layout_idx, (candidate, hit) in enumerate(scored):
             self.evaluated += 1
             self.cache_hits += int(hit)
-            value = _metric_value(report, self.mapper.metric)
+            value = _metric_value(candidate, self.mapper.metric)
             if value < vmin:
                 vmin = value
             key = (value, index, layout_idx)
             if self.key is None or key < self.key:
                 self.key = key
-                self.report = report
+                self.best = candidate
                 self.mapping = mapping
                 self.layout = self.layouts[layout_idx]
         self.min_values[index] = vmin
@@ -222,7 +228,7 @@ def halving_search(mapper: Mapper, workload,
         incumbent.score(index, mappings[index])
 
     return _finish(mapper, workload,
-                   (incumbent.report, incumbent.mapping, incumbent.layout,
+                   (incumbent.best, incumbent.mapping, incumbent.layout,
                     incumbent.evaluated, pruned, incumbent.cache_hits))
 
 
@@ -312,5 +318,5 @@ def evolutionary_search(mapper: Mapper, workload,
         frontier = children
 
     return _finish(mapper, workload,
-                   (incumbent.report, incumbent.mapping, incumbent.layout,
+                   (incumbent.best, incumbent.mapping, incumbent.layout,
                     incumbent.evaluated, 0, incumbent.cache_hits))

@@ -296,7 +296,11 @@ def adaptive_search(mapper, workload, layouts: Optional[Sequence] = None,
     Requires the analytical backend (admissible bounds are statements about
     the analytical model); the mapper constructor enforces this.
     """
-    from repro.layoutloop.mapper import SearchResult, _metric_value
+    from repro.layoutloop.mapper import (
+        SearchResult,
+        _metric_value,
+        _winner_report,
+    )
 
     layouts = list(layouts) if layouts else mapper.candidate_layouts(workload)
     universe = full_universe(mapper, workload)
@@ -305,14 +309,14 @@ def adaptive_search(mapper, workload, layouts: Optional[Sequence] = None,
     bounds = universe.bounds(mapper.metric, statics).tolist()
 
     best_key = None          # (value, flat position, layout index)
-    best_report = None
+    best_score = None
     best_mapping = None
     best_layout = None
     evaluated = 0
     cache_hits = 0
 
     def score(pos: int) -> None:
-        nonlocal best_key, best_report, best_mapping, best_layout
+        nonlocal best_key, best_score, best_mapping, best_layout
         nonlocal evaluated, cache_hits
         mapping = universe[pos]
         if mapper.vectorize:
@@ -322,14 +326,14 @@ def adaptive_search(mapper, workload, layouts: Optional[Sequence] = None,
             scored = [mapper.evaluation_cache.evaluate(
                 mapper.cost_model, workload, mapping, layout)
                 for layout in layouts]
-        for layout_idx, (report, hit) in enumerate(scored):
+        for layout_idx, (candidate, hit) in enumerate(scored):
             evaluated += 1
             cache_hits += int(hit)
-            value = _metric_value(report, mapper.metric)
+            value = _metric_value(candidate, mapper.metric)
             key = (value, pos, layout_idx)
             if best_key is None or key < best_key:
                 best_key = key
-                best_report = report
+                best_score = candidate
                 best_mapping = mapping
                 best_layout = layouts[layout_idx]
 
@@ -353,7 +357,8 @@ def adaptive_search(mapper, workload, layouts: Optional[Sequence] = None,
     return SearchResult(
         workload=getattr(workload, "name", str(workload)),
         arch=mapper.arch.name,
-        best_report=best_report,
+        best_report=_winner_report(best_score, workload, best_mapping,
+                                   best_layout),
         best_mapping=best_mapping,
         best_layout=best_layout,
         evaluated=evaluated,

@@ -228,7 +228,11 @@ def frontier_search(mapper, workload,
     the analytical model, and budgeted policies deliberately skip
     candidates the frontier must see.
     """
-    from repro.layoutloop.mapper import SearchResult, _metric_value
+    from repro.layoutloop.mapper import (
+        SearchResult,
+        _metric_value,
+        _winner_report,
+    )
 
     if mapper.policy != "exhaustive":
         raise ValueError(
@@ -309,16 +313,16 @@ def frontier_search(mapper, workload,
             scored = [mapper.evaluation_cache.evaluate(
                 mapper.cost_model, workload, mapping, layout)
                 for layout in layouts]
-        for l_idx, (layout, (report, hit)) in enumerate(zip(layouts, scored)):
+        for l_idx, (layout, (score, hit)) in enumerate(zip(layouts, scored)):
             evaluated += 1
             cache_hits += hit
-            value = _metric_value(report, mapper.metric)
+            value = _metric_value(score, mapper.metric)
             if best is None or value < best_value:
-                best, best_mapping, best_layout = report, mapping, layout
+                best, best_mapping, best_layout = score, mapping, layout
                 best_value = value
                 winner_key = (m_idx, l_idx)
-            vector = (report.edp, report.total_cycles,
-                      report.total_energy_pj, footprint)
+            vector = (score.edp, score.total_cycles,
+                      score.total_energy_pj, footprint)
             pareto_fold(front, vector, (m_idx, l_idx, mapping, layout))
         front_arr = None  # folds may have grown or thinned the front
 
@@ -345,7 +349,8 @@ def frontier_search(mapper, workload,
     result = SearchResult(
         workload=getattr(workload, "name", str(workload)),
         arch=arch.name,
-        best_report=best,
+        best_report=_winner_report(best, workload, best_mapping,
+                                   best_layout),
         best_mapping=best_mapping,
         best_layout=best_layout,
         evaluated=evaluated,

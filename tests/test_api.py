@@ -165,6 +165,23 @@ class TestRequestRoundTrips:
             SearchRequest(workloads="resnet50[:2]", arch="FEATHER",
                           schema_version=99)
 
+    def test_non_integer_counts_are_typed_invalid_requests(self):
+        base = {"workloads": "resnet50[:2]", "arch": "FEATHER"}
+        for bad in ({"policy": "halving", "budget": "x"},
+                    {"policy": "halving", "budget": 2.7},
+                    {"max_mappings": True}, {"max_mappings": 2.7},
+                    {"max_mappings": "7"}, {"workers": False},
+                    {"seed": "x"}):
+            with pytest.raises(InvalidRequestError, match="integer"):
+                SearchRequest.from_dict(dict(base, **bad))
+        with pytest.raises(InvalidRequestError, match="integer"):
+            EvalRequest.from_dict({"workload": "fig10_gemms#0",
+                                   "arch": "FEATHER-4x4",
+                                   "layout": "MK_K32", "seed": 1.5})
+        request = SearchRequest.from_dict(dict(base, max_mappings=7,
+                                               policy="halving", budget=3))
+        assert (request.max_mappings, request.budget) == (7, 3)
+
     def test_response_round_trips(self):
         with Session(name="t") as session:
             search = session.run(SearchRequest(

@@ -237,9 +237,9 @@ class TestCompiledKernelEquivalence:
                 for mapping in space.sample(4, seed=3):
                     batch = compiled.evaluate_mapping_batch(workload,
                                                             mapping, layouts)
-                    for layout, report in zip(layouts, batch):
-                        assert oracle.evaluate(workload, mapping,
-                                               layout) == report
+                    for layout, record in zip(layouts, batch):
+                        assert oracle.evaluate(workload, mapping, layout) \
+                            == record.report(workload, mapping, layout)
 
     def test_compile_without_numba_is_a_silent_numpy_fallback(self):
         from repro.kernel import jit
@@ -267,9 +267,9 @@ class TestCompiledKernelEquivalence:
             for mapping in space.sample(6, seed=4):
                 batch = compiled.evaluate_mapping_batch(workload, mapping,
                                                         layouts)
-                for layout, report in zip(layouts, batch):
-                    assert oracle.evaluate(workload, mapping,
-                                           layout) == report
+                for layout, record in zip(layouts, batch):
+                    assert oracle.evaluate(workload, mapping, layout) \
+                        == record.report(workload, mapping, layout)
 
     @pytest.mark.skipif(
         not __import__("repro.kernel.jit", fromlist=["x"]).NUMBA_AVAILABLE,
@@ -298,8 +298,9 @@ class TestBatchedEvaluation:
             space = MappingSpace(workload, arch.pe_rows, arch.pe_cols)
             for mapping in space.sample(5, seed=2):
                 batch = model.evaluate_mapping_batch(workload, mapping, layouts)
-                for layout, report in zip(layouts, batch):
-                    assert model.evaluate(workload, mapping, layout) == report
+                for layout, record in zip(layouts, batch):
+                    assert model.evaluate(workload, mapping, layout) \
+                        == record.report(workload, mapping, layout)
 
     def test_evaluate_batch_covers_cross_product(self):
         arch = feather_arch()
@@ -332,7 +333,8 @@ class TestBatchedEvaluation:
                [False, True]
         assert (batch_cache.stats.hits, batch_cache.stats.misses) == \
                (scalar_cache.stats.hits, scalar_cache.stats.misses)
-        assert [r for r, _ in batched] == [r for r, _ in scalar]
+        assert [r.report(workload, mapping, layout) for r, _ in batched] \
+            == [r for r, _ in scalar]
 
     def test_vectorized_search_identical_to_scalar_search(self):
         workload = ConvLayerSpec(name="c", m=64, c=32, h=14, w=14, r=3, s=3)

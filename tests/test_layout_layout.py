@@ -53,6 +53,15 @@ class TestLayoutProperties:
         with pytest.raises(ValueError):
             Layout(("H",), (IntraLineDim("C", 2), IntraLineDim("C", 4)))
 
+    def test_cached_name_leaves_eq_hash_and_pickling_alone(self):
+        import pickle
+
+        named, fresh = parse_layout("CHW_W4H2C2"), parse_layout("CHW_W4H2C2")
+        assert named.name is named.name == "CHW_W4H2C2"
+        assert named == fresh and hash(named) == hash(fresh)
+        again = pickle.loads(pickle.dumps(named))
+        assert again == fresh and again.name == "CHW_W4H2C2"
+
     def test_covers(self):
         layout = parse_layout("HWC_C32")
         assert layout.covers(["C", "H", "W"])

@@ -129,6 +129,13 @@ def test_error_codes_are_stable(service):
                         "backend": "simulator"}, 422, "incompatible_cell"),
         ("/v1/search", {"workloads": "resnet50[:2]", "arch": "FEATHER",
                         "schema_version": 99}, 400, "invalid_request"),
+        ("/v1/search", {"workloads": "resnet50[:2]", "arch": "FEATHER",
+                        "policy": "halving", "budget": "x"},
+         400, "invalid_request"),
+        ("/v1/search", {"workloads": "resnet50[:2]", "arch": "FEATHER",
+                        "max_mappings": True}, 400, "invalid_request"),
+        ("/v1/search", {"workloads": "resnet50[:2]", "arch": "FEATHER",
+                        "max_mappings": 2.7}, 400, "invalid_request"),
         ("/v1/nope", {}, 404, "not_found"),
     ]
     for path, body, expected_status, expected_code in cases:
