@@ -8,7 +8,9 @@ factor, where crossovers fall.  Run with ``pytest benchmarks/ --benchmark-only``
 
 The shared best-of-N timing helper lives in ``benchmarks/_timing.py``
 (pytest-free, so ``tools/bench_guard.py`` can load it too); this conftest
-injects it into the benchmark tests as the ``best_of`` fixture.
+injects it into the benchmark tests as the ``best_of`` fixture.  The
+scalar references the benchmarks time against come from the test oracle,
+``tests/oracle.py``, which this conftest puts on the import path.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Callable
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from _timing import best_of as _best_of  # noqa: E402
 
 

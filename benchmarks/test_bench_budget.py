@@ -12,12 +12,6 @@ run is also appended to ``BENCH_search.json`` at the repo root (the
 committed datapoints CI's ``bench_guard --gates budget`` mirrors); without
 it the benchmark writes nothing, so a tier-1 run never changes a tracked
 file.
-
-Every recorded run also carries a ``compiled`` entry stating whether the
-numba JIT was importable; on the opt-in compiled leg
-(``REPRO_BENCH_COMPILE=1``, CI's numba job) the exhaustive co-search is
-additionally timed with ``compile=True`` and the jit-vs-numpy wall-time
-ratio is recorded — with winner identity to the numpy path asserted.
 """
 
 from __future__ import annotations
@@ -62,7 +56,7 @@ def _identical(result, winner) -> bool:
 RECORD_ENV = "REPRO_BENCH_RECORD"
 
 
-def _record_run(policies, compiled) -> bool:
+def _record_run(policies) -> bool:
     """Append the run to ``BENCH_search.json`` when :data:`RECORD_ENV` is
     ``1``; returns whether it did."""
     if os.environ.get(RECORD_ENV) != "1":
@@ -80,49 +74,11 @@ def _record_run(policies, compiled) -> bool:
         "arch": "FEATHER",
         "max_mappings": MAX_MAPPINGS,
         "policies": policies,
-        "compiled": compiled,
     })
     history["runs"] = history["runs"][-50:]  # bounded trajectory
     BENCH_PATH.write_text(json.dumps(history, indent=2, sort_keys=True)
                           + "\n")
     return True
-
-
-def _compiled_entry(best_of, shapes, arch, winners):
-    """The compiled-kernel datapoint for the recorded run.
-
-    Always records whether numba was importable (so the trajectory is
-    honest about which runs exercised the JIT at all).  The jit-vs-numpy
-    timing ratio is only measured on the opt-in leg
-    (``REPRO_BENCH_COMPILE=1``, CI's numba job) — and there winner
-    identity with the numpy path is asserted, not just recorded.
-    """
-    from repro.kernel import NUMBA_AVAILABLE
-
-    entry = {"numba_available": NUMBA_AVAILABLE}
-    if not (NUMBA_AVAILABLE and os.environ.get("REPRO_BENCH_COMPILE")):
-        return entry
-
-    def run_compiled():
-        mapper = Mapper(arch, max_mappings=MAX_MAPPINGS, seed=0,
-                        compile=True)
-        return [mapper.search(workload) for workload in shapes]
-
-    def run_numpy():
-        mapper = Mapper(arch, max_mappings=MAX_MAPPINGS, seed=0)
-        return [mapper.search(workload) for workload in shapes]
-
-    compiled_s, compiled = best_of(run_compiled, 3)
-    numpy_s, _ = best_of(run_numpy, 3)
-    identical = all(_identical(r, w) for r, w in zip(compiled, winners))
-    assert identical, "compiled-kernel winner drifted from the numpy path"
-    entry.update({
-        "jit_vs_numpy": round(numpy_s / compiled_s, 3),
-        "compiled_wall_s": round(compiled_s, 4),
-        "numpy_wall_s": round(numpy_s, 4),
-        "winner_identical": identical,
-    })
-    return entry
 
 
 @pytest.mark.benchmark(group="budget")
@@ -175,12 +131,11 @@ def test_budgeted_policies_reach_exhaustive_winner(best_of):
             "reduction": round(baseline / evaluations, 3),
             "winner_identical": identical,
         }
-    compiled = _compiled_entry(best_of, shapes, arch, winners)
-    if _record_run(policies, compiled):
-        print(f"recorded in {BENCH_PATH.name} (compiled: {compiled})")
+    if _record_run(policies):
+        print(f"recorded in {BENCH_PATH.name}")
     else:
         print(f"not recorded (set {RECORD_ENV}=1 to append to "
-              f"{BENCH_PATH.name}; compiled: {compiled})")
+              f"{BENCH_PATH.name})")
 
     # Identity is the contract: a cheap wrong winner is a regression.
     assert rows["halving"][2], "halving winner drifted from exhaustive"

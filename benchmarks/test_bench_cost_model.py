@@ -4,7 +4,8 @@ Times the innermost co-search kernel — scoring one mapping under every
 candidate layout — both ways over the deduplicated ResNet-50 conv shapes:
 
 * **scalar** — one ``CostModel.evaluate`` call per (mapping, layout), the
-  PR-1 path (dict-per-coordinate addressing, per-cycle Python concordance);
+  test oracle's ``evaluate_layouts`` (dict-per-coordinate addressing,
+  per-cycle Python concordance);
 * **batched** — one ``CostModel.evaluate_mapping_batch`` call per mapping
   (compiled layouts + ``(cycles, lanes, ndims)`` footprints +
   ``analyze_concordance_batch``), returning score records; reports are
@@ -29,6 +30,8 @@ from repro.layoutloop.cosearch import unique_workloads
 from repro.layoutloop.cost_model import CostModel, clear_slowdown_memo
 from repro.workloads.resnet50 import resnet50_layers
 
+from oracle import evaluate_layouts
+
 MAPPINGS_PER_SHAPE = 8
 
 
@@ -45,7 +48,7 @@ def _workbench():
 
 
 def _run_scalar(model: CostModel, cases, layouts):
-    return [[model.evaluate(wl, mapping, layout) for layout in layouts]
+    return [evaluate_layouts(model, wl, mapping, layouts)
             for wl, mapping in cases]
 
 

@@ -5,14 +5,15 @@ FEATHER over all ResNet-50 conv layers:
 
 * **naive**      — the pre-engine behaviour: a fresh mapper per layer, no
   shape deduplication, no pruning, no evaluation cache;
-* **scalar**     — ``search_model(..., vectorize=False, bulk=False)``: the
-  PR-1 engine (dedup + pruning + memoization) on the scalar cost-model
-  oracle with the scalar bound path — ``bulk=False`` keeps this row the
-  PR-1 reference it claims to be, since the bulk bound pipeline speeds up
-  the scalar-evaluation engine itself by ~4x;
-* **engine**     — ``search_model`` serial with the vectorized
-  ``repro.kernel`` path (compiled layouts, batched evaluation, streaming
-  mapping sampling) — the default;
+* **scalar**     — ``oracle.search_model``: the engine (dedup + pruning +
+  memoization) on the scalar test oracle (``tests/oracle.py``: scalar
+  cost-model evaluations, one bound per mapping, the materializing
+  sampler) — the scalar bounds keep this row the reference it claims to
+  be, since the bulk bound pipeline speeds up the scalar-evaluation
+  engine itself by ~4x;
+* **engine**     — ``search_model`` serial on the production path
+  (compiled layouts, batched evaluation, bulk bounds, streaming mapping
+  sampling);
 * **engine-par** — ``search_model`` with worker processes.
 
 All four must produce bit-identical totals; the engine must beat the naive
@@ -31,9 +32,10 @@ import pytest
 
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cosearch import LayerChoice, ModelCost, unique_workloads
-from repro.layoutloop.mapper import Mapper
 from repro.search.engine import search_model
 from repro.workloads.resnet50 import resnet50_layers
+
+import oracle
 
 MAX_MAPPINGS = 24
 
@@ -48,8 +50,8 @@ def _naive_cosearch(layers) -> ModelCost:
     pruning, no cache reuse across layers, scalar cost model."""
     cost = ModelCost(arch="FEATHER", model="resnet50")
     for layer in layers:
-        mapper = Mapper(feather_arch(), max_mappings=MAX_MAPPINGS, prune=False,
-                        vectorize=False)
+        mapper = oracle.ScalarMapper(feather_arch(),
+                                     max_mappings=MAX_MAPPINGS, prune=False)
         cost.layer_choices.append(LayerChoice(result=mapper.search(layer),
                                               count=1))
     return cost
@@ -63,11 +65,11 @@ def test_search_engine_speedup_resnet50(benchmark, best_of):
     naive = _naive_cosearch(layers)
     naive_s = time.perf_counter() - t0
 
-    # PR-1 scalar engine path (best of two runs, to de-noise the ratio).
+    # Scalar engine path (best of two runs, to de-noise the ratio).
     scalar_s, scalar = best_of(
-        lambda: search_model(feather_arch(), layers, model_name="resnet50",
-                             max_mappings=MAX_MAPPINGS, vectorize=False,
-                             bulk=False))
+        lambda: oracle.search_model(feather_arch(), layers,
+                                    model_name="resnet50",
+                                    max_mappings=MAX_MAPPINGS))
 
     engine = benchmark.pedantic(
         search_model, args=(feather_arch(), layers),

@@ -24,6 +24,7 @@ from repro.errors import InvalidRequestError
 from repro.layout.layout import Layout, parse_layout
 from repro.layout.patterns import ReorderImplementation, ReorderPattern
 from repro.layoutloop.arch import ArchSpec, BufferGeometry
+from repro.layoutloop.cost_model import streaming_tensor_dims
 from repro.workloads.conv import ConvLayerSpec, LayerKind
 from repro.workloads.gemm import GemmSpec
 
@@ -278,6 +279,24 @@ def resolve_layout(name: str) -> Layout:
         return parse_layout(name)
     except (TypeError, ValueError) as exc:
         raise InvalidRequestError(f"bad layout {name!r}: {exc}") from exc
+
+
+def check_layout_fits(layout: Layout, workload) -> None:
+    """Reject a layout that cannot address ``workload``'s streaming tensor.
+
+    The inter-line order must name each streaming dimension (C, H, W for a
+    convolution's iActs; M, K for a GEMM's input) exactly once, and the
+    intra-line dimensions must be among them.  Raises
+    :class:`InvalidRequestError` otherwise.
+    """
+    dims = tuple(streaming_tensor_dims(workload))
+    if (sorted(layout.inter_order) != sorted(dims)
+            or not set(layout.intra_dims) <= set(dims)):
+        raise InvalidRequestError(
+            f"layout {layout.name!r} does not fit the streaming tensor of "
+            f"{getattr(workload, 'name', workload)!r}: the inter-line order "
+            f"must be a permutation of {''.join(dims)} and the intra-line "
+            f"dimensions must be among them")
 
 
 def resolve_layouts(names: Optional[Sequence[str]]) -> Optional[List[Layout]]:

@@ -22,9 +22,9 @@ hashing: keys are computed over resolved *structure* — workload shape
 signatures, the full architecture signature, the search-config identity —
 plus the labels that appear in the response, never over the request's
 spelling.  Execution knobs that are guaranteed result-neutral
-(``workers``, ``vectorize``, ``compile``, ``bulk``, ``fresh_cache``) stay
-out of the key, which is what lets identical in-flight requests coalesce across
-callers that parallelise differently; result-shaping knobs (``policy``,
+(``workers``, ``fresh_cache``) stay out of the key, which is what lets
+identical in-flight requests coalesce across callers that parallelise
+differently; result-shaping knobs (``policy``,
 ``budget``) are part of the key.
 """
 
@@ -38,7 +38,7 @@ from typing import Dict, Optional, Tuple, Union
 from repro.errors import InvalidRequestError
 
 #: Version of the request/response wire format (bumped on breaking change).
-API_SCHEMA_VERSION = 4
+API_SCHEMA_VERSION = 5
 
 _METRICS = ("edp", "latency", "energy")
 _POLICIES = ("exhaustive", "halving", "evolutionary")
@@ -139,8 +139,8 @@ class EvalRequest(_RequestBase):
 class SearchRequest(_RequestBase):
     """Whole-model (dataflow, layout) co-search on one architecture.
 
-    ``workers``/``vectorize``/``compile``/``fresh_cache`` are execution
-    knobs the engine guarantees result-neutral; they are carried for
+    ``workers``/``fresh_cache`` are execution knobs the engine guarantees
+    result-neutral; they are carried for
     execution but excluded from the content key (``policy``/``budget``
     change the result and are keyed).  ``fresh_cache=True`` gives the search
     a private evaluation cache instead of the session's shared one — the
@@ -175,9 +175,6 @@ class SearchRequest(_RequestBase):
     budget: Optional[int] = None
     """Per-shape cap on scored (mapping, layout) pairs; only meaningful
     with a non-exhaustive ``policy``."""
-    compile: bool = False
-    """Route the vectorized kernels through the optional numba-compiled
-    inner loops (bit-identical; silent numpy fallback without numba)."""
     backend: str = "analytical"
     """Evaluation-backend registry name, or ``"crossval"`` for the
     analytical-search + simulator-execution composite."""
@@ -195,14 +192,6 @@ class SearchRequest(_RequestBase):
     """Optional restriction of the candidate layout library (names)."""
     workers: Optional[int] = None
     """Worker processes; None resolves through the session (env/default)."""
-    vectorize: bool = True
-    """Vectorized kernel fast path (bit-identical to the scalar oracle)."""
-    bulk: bool = True
-    """Bulk-bounds control plane (:mod:`repro.search.bulk`): bounds, halving
-    rungs and frontier dominance vectors for each shape's whole candidate
-    universe in one numpy pass, mappings materialized lazily.  Analytical
-    backend only (others fall back to the scalar loop); result-neutral and
-    excluded from the content key, like ``vectorize``."""
     fresh_cache: bool = False
     """Use a private evaluation cache for this request (legacy semantics)."""
     constraints: Optional[str] = None
@@ -257,7 +246,6 @@ class SearchRequest(_RequestBase):
                 f"backend must be a registry name, got {self.backend!r}")
         _normalize(self, "frontier", bool(self.frontier))
         _normalize(self, "fused", bool(self.fused))
-        _normalize(self, "bulk", bool(self.bulk))
         if self.max_mappings == "auto":
             # The adaptive universe is a statement about the analytical
             # model's admissible bounds and defines the scalar winner only.
@@ -320,8 +308,6 @@ class SweepRequest(_RequestBase):
     """Recompute cells even when a fresh artifact exists."""
     workers: Optional[int] = None
     """Worker processes per cell; None resolves through the session."""
-    vectorize: bool = True
-    """Vectorized kernel fast path."""
     schema_version: int = API_SCHEMA_VERSION
 
     def __post_init__(self) -> None:

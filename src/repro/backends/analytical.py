@@ -24,24 +24,19 @@ class AnalyticalBackend(EvaluationBackend):
     """Timeloop-style analytical evaluation (§V), memoized and vectorized.
 
     ``cache`` may be shared across backends/mappers (keys embed the full
-    arch + energy signature); ``vectorize`` selects the :mod:`repro.kernel`
-    batch path and ``compile`` additionally routes its inner fold through
-    the optional numba-jitted kernels — results are bit-identical in every
-    combination.  ``seed`` is accepted for registry-signature uniformity
-    and ignored: the analytical model is deterministic by construction.
+    arch + energy signature).  ``seed`` is accepted for registry-signature
+    uniformity and ignored: the analytical model is deterministic by
+    construction.
     """
 
     name = "analytical"
 
     def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None,
-                 seed: int = 0, cache: Optional[EvaluationCache] = None,
-                 vectorize: bool = True, compile: bool = False):
+                 seed: int = 0, cache: Optional[EvaluationCache] = None):
         super().__init__(arch)
         del seed  # deterministic: nothing to seed
-        self.cost_model = CostModel(arch, energy, compile=compile)
+        self.cost_model = CostModel(arch, energy)
         self.cache = cache if cache is not None else EvaluationCache()
-        self.vectorize = vectorize
-        self.compile = compile
 
     @property
     def energy(self):
@@ -55,9 +50,6 @@ class AnalyticalBackend(EvaluationBackend):
 
     def evaluate_mapping(self, workload, mapping,
                          layouts: Sequence) -> List[BackendReport]:
-        if not self.vectorize:
-            return [self.evaluate(workload, mapping, layout)
-                    for layout in layouts]
         scored = self.cache.evaluate_batch(self.cost_model, workload,
                                            mapping, layouts)
         return [report_from_cost(record.report(workload, mapping, layout),

@@ -106,8 +106,7 @@ def cross_validate_model(arch: ArchSpec, workloads: Sequence,
                          model_name: str = "model", metric: str = "edp",
                          max_mappings: int = 50, seed: int = 0,
                          energy: Optional[EnergyTable] = None,
-                         workers: Optional[int] = 1, vectorize: bool = True,
-                         prune: bool = True,
+                         workers: Optional[int] = 1, prune: bool = True,
                          arch_label: Optional[str] = None,
                          cost: Optional[ModelCost] = None,
                          simulator: Optional[SimulatorBackend] = None,
@@ -145,7 +144,7 @@ def cross_validate_model(arch: ArchSpec, workloads: Sequence,
         cost = search_model(arch, workloads, model_name=model_name,
                             metric=metric, max_mappings=max_mappings,
                             energy=energy, workers=workers, seed=seed,
-                            vectorize=vectorize, prune=prune)
+                            prune=prune)
     validation = CrossValidation(arch=arch_label or cost.arch,
                                  model=cost.model, seed=seed)
     for choice, (workload, count) in zip(cost.layer_choices,

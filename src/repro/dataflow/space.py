@@ -153,9 +153,10 @@ class MappingSpace:
         The default streaming path samples flat *indices* and materializes
         only the ``count`` chosen mappings; ``materialize=True`` builds every
         mapping first and samples the list (the original implementation,
-        kept as the timing baseline).  Both return identical mappings in
-        identical order for the same seed: ``random.sample`` draws the same
-        index sequence from ``range(n)`` as from any length-``n`` sequence.
+        kept as the scalar reference the equivalence tests compare to).
+        Both return identical mappings in identical order for the same seed:
+        ``random.sample`` draws the same index sequence from ``range(n)`` as
+        from any length-``n`` sequence.
         """
         if materialize:
             all_mappings = list(self.iter_mappings())

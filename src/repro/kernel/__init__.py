@@ -24,7 +24,6 @@ implementations remain in place as the property-tested reference oracle
 
 from repro.kernel.compiled import CompiledLayout, compile_layout
 from repro.kernel.concordance import analyze_concordance_batch, cycle_slowdowns
-from repro.kernel.jit import NUMBA_AVAILABLE
 from repro.kernel.footprint import (
     CONV_STREAM_DIMS,
     GEMM_STREAM_DIMS,
@@ -36,7 +35,6 @@ from repro.kernel.footprint import (
 __all__ = [
     "CompiledLayout",
     "compile_layout",
-    "NUMBA_AVAILABLE",
     "analyze_concordance_batch",
     "cycle_slowdowns",
     "CONV_STREAM_DIMS",

@@ -185,7 +185,9 @@ def parse_layout(text: str) -> Layout:
 
     A missing intra part (no underscore) means one element per line entry of
     the innermost inter dimension, which is never used in the paper but is
-    accepted for completeness.
+    accepted for completeness.  A dimension named twice on either side of
+    the underscore is rejected (``ValueError``): the order would be
+    ambiguous.
     """
     text = text.strip()
     if "_" in text:
@@ -198,4 +200,6 @@ def parse_layout(text: str) -> Layout:
         intra_entries.append(IntraLineDim(dim.upper(), int(size)))
     if not inter and not intra_entries:
         raise ValueError(f"could not parse layout {text!r}")
+    if len(set(inter)) != len(inter):
+        raise ValueError(f"layout {text!r} repeats an inter-line dimension")
     return Layout(inter, tuple(intra_entries))

@@ -373,7 +373,6 @@ def evaluate_model(arch: ArchSpec, workloads: Sequence, model_name: str = "model
                    energy: Optional[EnergyTable] = None,
                    mapper: Optional[Mapper] = None,
                    workers: Optional[int] = 1,
-                   vectorize: bool = True,
                    backend: str = "analytical") -> ModelCost:
     """Run the per-layer co-search over a whole model and aggregate the result.
 
@@ -399,7 +398,7 @@ def evaluate_model(arch: ArchSpec, workloads: Sequence, model_name: str = "model
         return search_model(arch, workloads, model_name=model_name,
                             metric=metric, max_mappings=max_mappings,
                             energy=energy, workers=workers,
-                            vectorize=vectorize, backend=backend)
+                            backend=backend)
     cost = ModelCost(arch=arch.name, model=model_name)
     for workload, count in unique_workloads(workloads):
         result = mapper.search(workload)
@@ -412,7 +411,6 @@ def compare_architectures(arches: Sequence[ArchSpec], workloads: Sequence,
                           max_mappings: int = 200,
                           energy: Optional[EnergyTable] = None,
                           workers: Optional[int] = 1,
-                          vectorize: bool = True,
                           backend: str = "analytical") -> Dict[str, ModelCost]:
     """Evaluate several architectures on the same model (Fig. 13 style).
 
@@ -429,6 +427,6 @@ def compare_architectures(arches: Sequence[ArchSpec], workloads: Sequence,
         arch.name: evaluate_model(arch, workloads, model_name=model_name,
                                   metric=metric, max_mappings=max_mappings,
                                   energy=energy, workers=workers,
-                                  vectorize=vectorize, backend=backend)
+                                  backend=backend)
         for arch in arches
     }

@@ -324,20 +324,11 @@ def streaming_tensor_dims(workload) -> Dict[str, int]:
 
 
 class CostModel:
-    """Analytical latency/energy model with layout awareness.
+    """Analytical latency/energy model with layout awareness."""
 
-    ``compile`` routes the batched concordance fold and footprint walk
-    through the optional numba-jitted loop kernels (:mod:`repro.kernel.jit`)
-    — bit-identical results, silently degrading to the numpy path when
-    numba is not installed.  The scalar :meth:`evaluate` oracle is never
-    jitted; it stays the reference.
-    """
-
-    def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None,
-                 compile: bool = False):
+    def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None):
         self.arch = arch
         self.energy = energy or DEFAULT_ENERGY_TABLE
-        self.compile = compile
 
     # ----------------------------------------------------------------- public
     def evaluate(self, workload, mapping: Mapping, layout: Layout) -> CostReport:
@@ -443,7 +434,7 @@ class CostModel:
         key = (buffer.ports_per_bank, buffer.conflict_depth, buffer.banks,
                self.arch.reorder_pattern, workload_signature(workload),
                streaming_parallel_degrees(workload, mapping),
-               tuple(layout.name for layout in layouts), self.compile)
+               tuple(layout.name for layout in layouts))
         slowdowns = _SLOWDOWNS.get(key)
         if slowdowns is None:
             slowdowns = tuple(self._kernel_slowdowns(workload, mapping,
@@ -456,15 +447,13 @@ class CostModel:
         """One unmemoized run of the batched concordance kernel."""
         dims = streaming_tensor_dims(workload)
         coords, dim_names = streaming_access_coords(workload, mapping,
-                                                    _SAMPLE_BASES,
-                                                    compiled=self.compile)
+                                                    _SAMPLE_BASES)
         reports = analyze_concordance_batch(
             coords, dim_names, layouts, dims,
             ports_per_bank=self.arch.buffer.ports_per_bank,
             lines_per_bank=self.arch.buffer.conflict_depth,
             num_banks=self.arch.buffer.banks,
             pattern=self.arch.reorder_pattern,
-            compiled=self.compile,
         )
         return [report.avg_slowdown for report in reports]
 

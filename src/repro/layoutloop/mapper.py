@@ -46,7 +46,8 @@ from repro.layout.library import conv_layout_library, gemm_layout_library
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.cost_model import CostModel, CostReport, ScoreRecord
 from repro.layoutloop.energy import EnergyTable
-from repro.search.bounds import cached_bound_statics, metric_lower_bound
+from repro.search.bounds import cached_bound_statics
+from repro.search.bulk import BulkUniverse, adaptive_search, candidate_universe
 from repro.search.cache import EvaluationCache
 from repro.search.signatures import workload_signature
 from repro.workloads.conv import ConvLayerSpec
@@ -122,33 +123,20 @@ class Mapper:
     ``prune`` enables the admissible lower-bound pruning (exact; disable
     only for A/B testing).  ``evaluation_cache`` may be shared between
     mappers — keys embed the architecture and energy-table signature, so
-    cross-architecture sharing is safe.  ``vectorize`` selects the
-    :mod:`repro.kernel` fast path (streaming mapping sampling plus batched
-    layout evaluation); disabling it runs the scalar reference oracle —
-    results are bit-identical either way, only the speed differs.
+    cross-architecture sharing is safe.
 
     ``backend`` selects the evaluation backend scoring candidates: a
     :mod:`repro.backends` registry name, an already-constructed
     :class:`~repro.backends.base.EvaluationBackend`, or ``None`` for the
-    default analytical backend (in which case ``evaluation_cache`` and
-    ``vectorize`` configure it exactly as before).  Non-analytical
-    backends disable pruning — the admissible bounds only hold for the
-    analytical model.
+    default analytical backend (in which case ``evaluation_cache``
+    configures it).  Non-analytical backends disable pruning — the
+    admissible bounds only hold for the analytical model.
 
     ``policy`` selects the search policy over the candidate universe:
     ``"exhaustive"`` (default, scan everything minus admissible prunes),
     ``"halving"`` or ``"evolutionary"`` (:mod:`repro.search.budget`);
     ``budget`` caps the scored (mapping, layout) pairs of the budgeted
-    policies.  ``compile`` engages the optional numba-jitted kernel inner
-    loops on the analytical backend (bit-identical; a silent no-op when
-    numba is not installed).
-
-    ``bulk`` engages the bulk-bounds control plane (:mod:`repro.search.bulk`)
-    on the analytical backend: admissible bounds, halving rungs and frontier
-    dominance bounds for the whole candidate universe are computed in one
-    numpy pass, and mappings are materialized only when they survive the
-    prune.  Bit-identical results and counters either way — only the speed
-    differs.  ``max_mappings="auto"`` (analytical, exhaustive policy only)
+    policies.  ``max_mappings="auto"`` (analytical, exhaustive policy only)
     replaces the fixed sample with the adaptive universe: a small seeded
     base sample grown only where the bound landscape is tight, returning
     exactly the uncapped exhaustive winner of the full structured space.
@@ -160,15 +148,18 @@ class Mapper:
     accounted in ``SearchResult.repaired``/``repair``.  ``None`` inherits
     the backend's own constraints — the analytical backend has none, so by
     default nothing changes and results stay bit-identical.
+
+    Every policy reads its candidates from :meth:`candidates` and scores a
+    mapping with :meth:`score_mapping`; the scalar reference of both lives
+    with the equivalence tests, not here.
     """
 
     def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None,
                  metric: str = "edp", max_mappings=200, seed: int = 0,
                  prune: bool = True,
                  evaluation_cache: Optional[EvaluationCache] = None,
-                 vectorize: bool = True, backend=None,
-                 policy: str = "exhaustive", budget: Optional[int] = None,
-                 compile: bool = False, bulk: bool = True, constraints=None):
+                 backend=None, policy: str = "exhaustive",
+                 budget: Optional[int] = None, constraints=None):
         from repro.backends import (
             AnalyticalBackend,
             EvaluationBackend,
@@ -197,15 +188,11 @@ class Mapper:
         self.max_mappings = max_mappings
         self.seed = seed
         self.prune = prune
-        self.vectorize = vectorize
         self.policy = policy
         self.budget = budget
-        self.compile = compile
         if backend is None or backend == "analytical":
             self.backend = AnalyticalBackend(arch, energy=energy,
-                                             cache=evaluation_cache,
-                                             vectorize=vectorize,
-                                             compile=compile)
+                                             cache=evaluation_cache)
         elif isinstance(backend, EvaluationBackend):
             self.backend = backend
         else:
@@ -216,14 +203,11 @@ class Mapper:
 
         self.constraints = resolve_constraints(constraints, arch,
                                                backend=self.backend)
-        # The bulk control plane is exact only where the admissible bounds
-        # are: the analytical model.  Other backends silently fall back to
-        # the scalar loop (mirroring how they disable pruning).  A bound
-        # ConstraintSet also forces the scalar path: the bulk universe
-        # enumerates raw flat indices symbolically, while constraints need
-        # every candidate materialized for repair.
-        self.bulk = (bool(bulk) and self._analytical
-                     and self.constraints is None)
+        # The universe stays symbolic (flat sample indices, mappings built
+        # on demand) only where nothing needs every candidate materialized:
+        # a bound ConstraintSet repairs each one, and other backends score
+        # each one.
+        self.bulk = self._analytical and self.constraints is None
         if max_mappings == "auto" and not self._analytical:
             raise ValueError(
                 "max_mappings='auto' requires the analytical backend")
@@ -239,7 +223,7 @@ class Mapper:
             # Kept for API compatibility (bound statics, shared-cache
             # callers, the budgeted policies' analytical cheap rung); the
             # exhaustive loop does not consult them.
-            self.cost_model = CostModel(arch, energy, compile=compile)
+            self.cost_model = CostModel(arch, energy)
             self.evaluation_cache = (evaluation_cache
                                      if evaluation_cache is not None
                                      else EvaluationCache())
@@ -265,12 +249,39 @@ class Mapper:
         if space is None:
             mappings = self._fixed_parallelism_mappings(workload)
         else:
-            mappings = space.sample(self.max_mappings, seed=self.seed,
-                                    materialize=not self.vectorize)
+            mappings = space.sample(self.max_mappings, seed=self.seed)
             mappings.extend(self._canonical_tail(workload))
         if self.constraints is None:
             return mappings
         return self._repaired_universe(workload, mappings)[0]
+
+    def candidates(self, workload) -> BulkUniverse:
+        """The candidate universe every search policy scans.
+
+        The entries of :meth:`candidate_mappings`, in the same order, as a
+        :class:`~repro.search.bulk.BulkUniverse` whose bounds, cycle floors
+        and footprints come in one numpy pass.  Symbolic (mappings built
+        only when indexed) when :attr:`bulk`; otherwise it wraps the
+        materialized (possibly repaired) list.
+        """
+        if self.bulk:
+            return candidate_universe(self, workload)
+        return BulkUniverse.from_mappings(self.candidate_mappings(workload),
+                                          workload)
+
+    def score_mapping(self, workload, mapping: Mapping,
+                      layouts: Sequence[Layout]) -> List[Tuple[object, bool]]:
+        """Score one mapping under every layout: ``[(score, was_hit)]``.
+
+        Analytical scores are cached :class:`ScoreRecord` entries from one
+        batched kernel call; any other backend scores through its
+        ``evaluate_mapping`` (reports, never cache hits).
+        """
+        if self._analytical:
+            return self.evaluation_cache.evaluate_batch(
+                self.cost_model, workload, mapping, layouts)
+        return [(report, False) for report in
+                self.backend.evaluate_mapping(workload, mapping, layouts)]
 
     def _repaired_universe(self, workload,
                            raw: Optional[List[Mapping]] = None) -> Tuple:
@@ -423,37 +434,29 @@ class Mapper:
                          else evolutionary_search)
             result = search_fn(self, workload, layouts=layouts,
                                budget=self.budget)
-            self._finalize_repair(result, workload, layouts)
-            self._cache[key] = result
-            return result
-
-        if self.max_mappings == "auto":
+        elif self.max_mappings == "auto":
             # Adaptive universe: seeded base sample grown where the bound
             # landscape is tight; returns exactly the uncapped exhaustive
             # winner of the full structured space.
-            from repro.search.bulk import adaptive_search
-
             result = adaptive_search(self, workload, layouts=layouts)
-            self._cache[key] = result
-            return result
-
-        layouts = list(layouts) if layouts else self.candidate_layouts(workload)
-        if self.bulk:
-            # Bulk control plane: one numpy pass computes every mapping's
-            # admissible bound; mappings materialize lazily, so pruned
-            # entries are never built at all.  Decisions, counters and
-            # winners are bit-identical to the scalar loop.
-            from repro.search.bulk import candidate_universe
-
-            mappings = candidate_universe(self, workload)
         else:
-            mappings = self.candidate_mappings(workload)
+            result = self._exhaustive_scan(workload, layouts)
+        self._finalize_repair(result, workload, layouts)
+        self._cache[key] = result
+        return result
+
+    def _exhaustive_scan(self, workload,
+                         layouts: Optional[Sequence[Layout]]) -> SearchResult:
+        """Score the candidate universe in order, skipping every mapping
+        whose admissible bound cannot beat the incumbent."""
+        layouts = list(layouts) if layouts else self.candidate_layouts(workload)
+        universe = self.candidates(workload)
         # The admissible bounds are statements about the analytical cost
         # model; any other backend scans exhaustively.
-        statics = (cached_bound_statics(self.cost_model, workload)
-                   if self.prune and self._analytical else None)
-        bounds = (mappings.bounds(self.metric, statics).tolist()
-                  if self.bulk and statics is not None else None)
+        bounds = None
+        if self.prune and self._analytical:
+            statics = cached_bound_statics(self.cost_model, workload)
+            bounds = universe.bounds(self.metric, statics).tolist()
 
         best = None  # the winner's score record (or report)
         best_value = math.inf
@@ -462,28 +465,13 @@ class Mapper:
         evaluated = 0
         pruned = 0
         cache_hits = 0
-        for index in range(len(mappings)):
-            if statics is not None and best is not None:
-                bound = (bounds[index] if bounds is not None
-                         else metric_lower_bound(
-                             self.metric,
-                             mappings[index].compute_cycles(workload),
-                             statics))
-                if bound >= best_value:
-                    pruned += len(layouts)
-                    continue
-            mapping = mappings[index]
-            if not self._analytical:
-                scored = [(report, False) for report in
-                          self.backend.evaluate_mapping(workload, mapping,
-                                                        layouts)]
-            elif self.vectorize:
-                scored = self.evaluation_cache.evaluate_batch(
-                    self.cost_model, workload, mapping, layouts)
-            else:
-                scored = [self.evaluation_cache.evaluate(
-                    self.cost_model, workload, mapping, layout)
-                    for layout in layouts]
+        for index in range(len(universe)):
+            if (bounds is not None and best is not None
+                    and bounds[index] >= best_value):
+                pruned += len(layouts)
+                continue
+            mapping = universe[index]
+            scored = self.score_mapping(workload, mapping, layouts)
             for layout, (score, hit) in zip(layouts, scored):
                 evaluated += 1
                 cache_hits += hit
@@ -492,7 +480,7 @@ class Mapper:
                     best, best_mapping, best_layout = score, mapping, layout
                     best_value = value
 
-        result = SearchResult(
+        return SearchResult(
             workload=getattr(workload, "name", str(workload)),
             arch=self.arch.name,
             best_report=_winner_report(best, workload, best_mapping,
@@ -504,9 +492,6 @@ class Mapper:
             pruned=pruned,
             cache_hits=cache_hits,
         )
-        self._finalize_repair(result, workload, layouts)
-        self._cache[key] = result
-        return result
 
     def search_frontier(self, workload,
                         layouts: Optional[Sequence[Layout]] = None) -> Tuple:

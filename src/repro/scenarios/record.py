@@ -9,7 +9,7 @@ and the content-address ``key``.
 
 Records are split into a **deterministic payload** (everything that must be
 bit-identical across re-runs: compared by the golden tests and the CLI
-``diff``) and **run metadata** (``workers``, ``vectorize``, ``elapsed_s``,
+``diff``) and **run metadata** (``workers``, ``elapsed_s``,
 ``repro_version``) that may legitimately differ between runs producing the
 same numbers.  JSON serialization uses the stdlib ``json`` module, whose
 shortest-round-trip float repr makes ``write -> read`` exact: parsed floats
@@ -30,8 +30,7 @@ SCHEMA_VERSION = 4
 #: ``key`` is provenance too — it hashes the package version so the result
 #: cache invalidates across releases, which must not fail a golden compare
 #: when the numbers themselves are unchanged.
-RUN_METADATA_FIELDS = ("workers", "vectorize", "elapsed_s", "repro_version",
-                       "key")
+RUN_METADATA_FIELDS = ("workers", "elapsed_s", "repro_version", "key")
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,6 @@ class ScenarioRecord:
     """``repro.__version__`` that produced the record."""
     workers: int = 1
     """Worker processes the run used (result-neutral)."""
-    vectorize: bool = True
-    """Whether the vectorized kernel ran (result-neutral)."""
     elapsed_s: float = 0.0
     """Wall-clock time of the cell (seconds)."""
     schema: int = SCHEMA_VERSION
@@ -127,7 +124,7 @@ class ScenarioRecord:
 
         Drops :data:`RUN_METADATA_FIELDS` — everything left must match
         exactly when the cell is re-run with its embedded seed, regardless
-        of worker count, the vectorize flag or the package version.
+        of worker count or the package version.
         """
         data = self.to_dict()
         for field_name in RUN_METADATA_FIELDS:
@@ -141,7 +138,9 @@ class ScenarioRecord:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ScenarioRecord":
         layers = [LayerRecord(**layer) for layer in data["layers"]]
-        fields = {k: v for k, v in data.items() if k != "layers"}
+        # ``vectorize`` is run metadata older records carry; nothing reads it.
+        fields = {k: v for k, v in data.items()
+                  if k not in ("layers", "vectorize")}
         return cls(layers=layers, **fields)
 
     @classmethod
@@ -215,8 +214,7 @@ def search_stats_payload(stats) -> Dict[str, object]:
 
 
 def record_from_model_cost(scenario, cost, key: str, repro_version: str,
-                           workers: int = 1, vectorize: bool = True,
-                           elapsed_s: float = 0.0,
+                           workers: int = 1, elapsed_s: float = 0.0,
                            backend: str = "analytical",
                            crossval: Optional[Dict[str, object]] = None,
                            frontiers: Optional[List[Dict[str, object]]] = None,
@@ -249,7 +247,6 @@ def record_from_model_cost(scenario, cost, key: str, repro_version: str,
         fused=fused,
         repro_version=repro_version,
         workers=workers,
-        vectorize=vectorize,
         elapsed_s=elapsed_s,
     )
 

@@ -51,8 +51,7 @@ from repro.layoutloop.mapper import (
     _metric_value,
     _winner_report,
 )
-from repro.search.bounds import cached_bound_statics, metric_lower_bound
-from repro.search.bulk import BulkUniverse, candidate_universe
+from repro.search.bounds import cached_bound_statics
 from repro.search.signatures import mapping_signature, workload_signature
 
 POLICIES: Tuple[str, ...] = ("exhaustive", "halving", "evolutionary")
@@ -71,56 +70,21 @@ def default_budget(n_mappings: int, n_layouts: int) -> int:
     return max(pair_cost, (int(n_mappings) * pair_cost) // 4)
 
 
-def _score_mapping(mapper: Mapper, workload, mapping, layouts
-                   ) -> List[Tuple[object, bool]]:
-    """Score one mapping under every layout, exactly as the exhaustive loop.
-
-    Returns ``[(score, was_cache_hit), ...]`` in layout order — score
-    records on the batched analytical path, reports otherwise; the three
-    branches (backend / batched cache / scalar cache) mirror
-    :meth:`Mapper.search` so every policy produces bit-identical reports.
-    """
-    if not mapper._analytical:
-        return [(report, False) for report in
-                mapper.backend.evaluate_mapping(workload, mapping, layouts)]
-    if mapper.vectorize:
-        return mapper.evaluation_cache.evaluate_batch(
-            mapper.cost_model, workload, mapping, layouts)
-    return [mapper.evaluation_cache.evaluate(
-        mapper.cost_model, workload, mapping, layout) for layout in layouts]
-
-
-def _candidates(mapper: Mapper, workload):
-    """The mapper's candidate universe — a lazily-materialized
-    :class:`~repro.search.bulk.BulkUniverse` when the bulk control plane is
-    on, the materialized mapping list otherwise.  Same entries, same order;
-    both support ``len``/indexing/iteration, so the policies are agnostic."""
-    if getattr(mapper, "bulk", False):
-        return candidate_universe(mapper, workload)
-    return mapper.candidate_mappings(workload)
-
-
 def _cheap_rung(mapper: Mapper, workload, mappings, layouts
                 ) -> Tuple[List[float], bool]:
     """Per-mapping cheap-rung scores and whether they are admissible bounds.
 
     Analytical backend: the admissible metric lower bound (orders of
-    magnitude cheaper than an evaluation) — ranking *and* sound pruning.
-    On a :class:`~repro.search.bulk.BulkUniverse` the whole rung is one
-    vectorized pass (bit-identical floats, so the rank order is unchanged).
-    Any other backend: the full analytical value (minimum over the candidate
-    layouts), i.e. the multi-fidelity ladder's cheap rung — a fast-model
+    magnitude cheaper than an evaluation), for the whole universe in one
+    vectorized pass — ranking *and* sound pruning.  Any other backend: the
+    full analytical value (minimum over the candidate layouts), i.e. the
+    multi-fidelity ladder's cheap rung — a fast-model
     ranking with no admissibility claim about the expensive model, so the
     caller may order by it but never prune on it.
     """
     if mapper._analytical:
         statics = cached_bound_statics(mapper.cost_model, workload)
-        if isinstance(mappings, BulkUniverse):
-            return (mappings.bounds(mapper.metric, statics).tolist(),
-                    mapper.prune)
-        return ([metric_lower_bound(mapper.metric,
-                                    mapping.compute_cycles(workload), statics)
-                 for mapping in mappings],
+        return (mappings.bounds(mapper.metric, statics).tolist(),
                 mapper.prune)
     scores = []
     for mapping in mappings:
@@ -164,8 +128,8 @@ class _Incumbent:
 
     def score(self, index: int, mapping) -> None:
         """Fully evaluate one mapping and fold it into the incumbent."""
-        scored = _score_mapping(self.mapper, self.workload, mapping,
-                                self.layouts)
+        scored = self.mapper.score_mapping(self.workload, mapping,
+                                           self.layouts)
         vmin = math.inf
         for layout_idx, (candidate, hit) in enumerate(scored):
             self.evaluated += 1
@@ -207,7 +171,7 @@ def halving_search(mapper: Mapper, workload,
     every search scores at least one mapping.
     """
     layouts = list(layouts) if layouts else mapper.candidate_layouts(workload)
-    mappings = _candidates(mapper, workload)
+    mappings = mapper.candidates(workload)
     pair_cost = len(layouts)
     rung, admissible = _cheap_rung(mapper, workload, mappings, layouts)
     order = sorted(range(len(mappings)), key=lambda i: (rung[i], i))
@@ -254,7 +218,7 @@ def evolutionary_search(mapper: Mapper, workload,
     :func:`default_budget` for the legacy quarter-universe refinement cap.
     """
     layouts = list(layouts) if layouts else mapper.candidate_layouts(workload)
-    mappings = _candidates(mapper, workload)
+    mappings = mapper.candidates(workload)
     n = len(mappings)
     pair_cost = len(layouts)
     rng = random.Random(mapper.seed)

@@ -1,13 +1,13 @@
 """Bulk-bounds search core: whole-universe bound pipelines, one numpy pass.
 
-PRs 2 and 7 vectorized the evaluation inner loop (batched concordance,
-optional numba jit) but the search *control plane* — admissible bound
-computation, prune decisions, halving rung scores, frontier dominance
-bounds — still ran one mapping at a time in pure Python, materializing every
-sampled :class:`~repro.dataflow.mapping.Mapping` just to compute a trip-count
-product that depends only on its parallelism assignment.
+The evaluation inner loop is batched per mapping (the concordance kernel);
+the search *control plane* — admissible bound computation, prune decisions,
+halving rung scores, frontier dominance bounds — needs only a trip-count
+product per mapping, which depends only on its parallelism assignment, so
+materializing every sampled :class:`~repro.dataflow.mapping.Mapping` one at
+a time just to compute it would dominate the search.
 
-:class:`BulkUniverse` removes both costs.  It represents a per-shape mapping
+:class:`BulkUniverse` avoids that.  It represents a per-shape mapping
 universe *symbolically*, as the flat sample indices of a
 :class:`~repro.dataflow.space.MappingSpace` (parallelism-major order) plus a
 small materialized tail (the canonical weight-stationary baselines), and
@@ -20,7 +20,7 @@ computes for the entire universe in single numpy passes:
   :func:`repro.search.bounds.metric_lower_bound` per entry, replicating the
   scalar float op order exactly (int cycles -> float64 ``+ reorder_cycles``,
   then one multiply for EDP), so every value is bit-identical to the scalar
-  oracle;
+  bound;
 * ``footprints(arch)`` — the exact integer tile footprints of
   :func:`repro.search.frontier.buffer_footprint_bytes`.
 
@@ -76,8 +76,10 @@ class BulkUniverse:
     ``MappingSpace.sample`` would materialize); ``tail`` holds already-built
     mappings appended after the sample (the canonical weight-stationary
     baselines, or the whole universe of a fixed-parallelism architecture).
-    Supports ``len()``, indexing and iteration like the mapping list it
-    replaces, so the budgeted policies run on it unchanged.
+    Supports ``len()``, indexing and iteration like a mapping list.
+    :meth:`from_mappings` wraps an explicit list (a fixed-parallelism
+    architecture, a repaired universe, a non-analytical backend's sample)
+    with the same interface, so every policy scans one type.
     """
 
     def __init__(self, space, indices: Sequence[int], tail: Sequence,
@@ -95,7 +97,7 @@ class BulkUniverse:
 
     @classmethod
     def from_mappings(cls, mappings: Sequence, workload) -> "BulkUniverse":
-        """Wrap an explicit mapping list (fixed-parallelism architectures)."""
+        """Wrap an explicit, already-materialized mapping list."""
         return cls(None, (), mappings, workload)
 
     # ------------------------------------------------------------- sequence
@@ -319,13 +321,7 @@ def adaptive_search(mapper, workload, layouts: Optional[Sequence] = None,
         nonlocal best_key, best_score, best_mapping, best_layout
         nonlocal evaluated, cache_hits
         mapping = universe[pos]
-        if mapper.vectorize:
-            scored = mapper.evaluation_cache.evaluate_batch(
-                mapper.cost_model, workload, mapping, layouts)
-        else:
-            scored = [mapper.evaluation_cache.evaluate(
-                mapper.cost_model, workload, mapping, layout)
-                for layout in layouts]
+        scored = mapper.score_mapping(workload, mapping, layouts)
         for layout_idx, (candidate, hit) in enumerate(scored):
             evaluated += 1
             cache_hits += int(hit)

@@ -97,31 +97,26 @@ class SearchEngine:
     def __init__(self, arch: ArchSpec, energy: Optional[EnergyTable] = None,
                  metric: str = "edp", max_mappings=200, seed: int = 0,
                  prune: bool = True, cache: Optional[EvaluationCache] = None,
-                 vectorize: bool = True, backend: str = "analytical",
-                 policy: str = "exhaustive", budget: Optional[int] = None,
-                 compile: bool = False, frontier: bool = False,
-                 fused: bool = False, bulk: bool = True, constraints=None):
+                 backend: str = "analytical", policy: str = "exhaustive",
+                 budget: Optional[int] = None, frontier: bool = False,
+                 fused: bool = False, constraints=None):
         self.arch = arch
         self.energy = energy
         self.metric = metric
         self.max_mappings = max_mappings
         self.seed = seed
         self.prune = prune
-        self.vectorize = vectorize
         self.backend = backend
         self.policy = policy
         self.budget = budget
-        self.compile = compile
         self.frontier = frontier
         self.fused = fused
-        self.bulk = bulk
         self.cache = cache if cache is not None else EvaluationCache()
         self.mapper = Mapper(arch, energy=energy, metric=metric,
                              max_mappings=max_mappings, seed=seed,
                              prune=prune, evaluation_cache=self.cache,
-                             vectorize=vectorize, backend=backend,
-                             policy=policy, budget=budget, compile=compile,
-                             bulk=bulk, constraints=constraints)
+                             backend=backend, policy=policy, budget=budget,
+                             constraints=constraints)
         self.constraints = self.mapper.constraints
 
     @property
@@ -163,11 +158,9 @@ class SearchEngine:
                             energy=self.energy, workers=workers,
                             chunk_size=chunk_size, prune=self.prune,
                             seed=self.seed, cache=self.cache,
-                            vectorize=self.vectorize, backend=backend,
-                            policy=self.policy, budget=self.budget,
-                            compile=self.compile, frontier=self.frontier,
-                            fused=self.fused, bulk=self.bulk,
-                            constraints=self.constraints)
+                            backend=backend, policy=self.policy,
+                            budget=self.budget, frontier=self.frontier,
+                            fused=self.fused, constraints=self.constraints)
         for (workload, _), choice in zip(unique_workloads(workloads),
                                          cost.layer_choices):
             self.mapper.adopt_result(workload, choice.result)
@@ -183,13 +176,12 @@ def _search_chunk(payload: Tuple) -> Tuple[List[SearchResult], int, int]:
     configuration, so a chunk's results do not depend on which process (or
     how many) ran it.
     """
-    (arch, energy, metric, max_mappings, seed, prune, vectorize, layouts,
-     policy, budget, compile_flag, bulk, constraints, shapes) = payload
+    (arch, energy, metric, max_mappings, seed, prune, layouts, policy,
+     budget, constraints, shapes) = payload
     mapper = Mapper(arch, energy=energy, metric=metric,
                     max_mappings=max_mappings, seed=seed, prune=prune,
-                    evaluation_cache=EvaluationCache(), vectorize=vectorize,
-                    policy=policy, budget=budget, compile=compile_flag,
-                    bulk=bulk, constraints=constraints)
+                    evaluation_cache=EvaluationCache(), policy=policy,
+                    budget=budget, constraints=constraints)
     results = [mapper.search(wl, layouts=layouts) for wl in shapes]
     stats = mapper.evaluation_cache.stats
     return results, stats.hits, stats.misses
@@ -202,14 +194,13 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
                        workers: int = 1, chunk_size: Optional[int] = None,
                        prune: bool = True, seed: int = 0,
                        cache: Optional[EvaluationCache] = None,
-                       vectorize: bool = True, backend="analytical",
+                       backend="analytical",
                        layouts: Optional[Sequence] = None,
                        executor=None,
                        mapper: Optional[Mapper] = None,
                        policy: str = "exhaustive",
                        budget: Optional[int] = None,
-                       compile: bool = False, frontier: bool = False,
-                       fused: bool = False, bulk: bool = True,
+                       frontier: bool = False, fused: bool = False,
                        constraints=None) -> ModelCost:
     """The whole-model co-search engine behind :func:`search_model`.
 
@@ -240,12 +231,10 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
 
     if isinstance(backend, AnalyticalBackend):
         # An analytical *instance* is configuration, not a detour: adopt
-        # its cache (unless one was passed explicitly) and vectorize/compile
-        # flags, then run the full analytical path — fan-out, pruning, stats.
+        # its cache (unless one was passed explicitly), then run the full
+        # analytical path — fan-out, pruning, stats.
         if cache is None:
             cache = backend.cache
-        vectorize = backend.vectorize
-        compile = backend.compile
         backend = "analytical"
     analytical = backend is None or backend == "analytical"
     if max_mappings == "auto":
@@ -302,8 +291,7 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
         if mapper is None:
             mapper = Mapper(arch, energy=energy, metric=metric,
                             max_mappings=max_mappings, seed=seed, prune=prune,
-                            vectorize=vectorize, backend=backend,
-                            policy=policy, budget=budget, bulk=bulk,
+                            backend=backend, policy=policy, budget=budget,
                             constraints=constraints)
         results = [mapper.search(wl, layouts=layouts) for wl in shapes]
     elif workers <= 1 or len(shapes) <= 1:
@@ -312,9 +300,8 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
             eval_cache = cache if cache is not None else EvaluationCache()
             mapper = Mapper(arch, energy=energy, metric=metric,
                             max_mappings=max_mappings, seed=seed, prune=prune,
-                            evaluation_cache=eval_cache, vectorize=vectorize,
-                            policy=policy, budget=budget, compile=compile,
-                            bulk=bulk, constraints=constraints)
+                            evaluation_cache=eval_cache, policy=policy,
+                            budget=budget, constraints=constraints)
         else:
             eval_cache = mapper.evaluation_cache
         # Shared caches outlive this call: report this run's delta, not the
@@ -333,8 +320,7 @@ def _search_model_impl(arch: ArchSpec, workloads: Sequence,
     else:
         size = chunk_size or default_chunk_size(len(shapes), workers)
         payloads = [(arch, energy, metric, max_mappings, seed, prune,
-                     vectorize, layouts, policy, budget, compile, bulk,
-                     constraints, chunk)
+                     layouts, policy, budget, constraints, chunk)
                     for chunk in chunked(shapes, size)]
         chunk_outputs, stats.workers = run_fanout(_search_chunk, payloads,
                                                   workers, executor=executor)
@@ -385,12 +371,9 @@ def search_model(arch: ArchSpec, workloads: Sequence, model_name: str = "model",
                  workers: Optional[int] = 1,
                  chunk_size: Optional[int] = None, prune: bool = True,
                  seed: int = 0, cache: Optional[EvaluationCache] = None,
-                 vectorize: bool = True,
                  backend="analytical", policy: str = "exhaustive",
-                 budget: Optional[int] = None,
-                 compile: bool = False, frontier: bool = False,
-                 fused: bool = False, bulk: bool = True,
-                 constraints=None) -> ModelCost:
+                 budget: Optional[int] = None, frontier: bool = False,
+                 fused: bool = False, constraints=None) -> ModelCost:
     """Co-search a whole model on one architecture and aggregate the cost.
 
     .. deprecated:: 1.1
@@ -414,9 +397,6 @@ def search_model(arch: ArchSpec, workloads: Sequence, model_name: str = "model",
       so each worker receives ~4 chunks).
     * ``cache`` — a shared :class:`EvaluationCache` (serial path only;
       worker processes always build their own).
-    * ``vectorize`` — run the :mod:`repro.kernel` fast path (streaming
-      mapping sampling + batched layout evaluation).  ``False`` runs the
-      scalar reference oracle; results are bit-identical either way.
     * ``backend`` — the :mod:`repro.backends` evaluation backend scoring
       the candidates: a registry name (default ``"analytical"``) or an
       already-constructed backend instance (reused as-is, keeping its
@@ -427,12 +407,6 @@ def search_model(arch: ArchSpec, workloads: Sequence, model_name: str = "model",
       candidate universe (``"exhaustive"``, ``"halving"``,
       ``"evolutionary"``; see :mod:`repro.search.budget`) and its cap on
       scored pairs per unique shape.
-    * ``compile`` — route the kernel inner loops through the optional
-      numba-jitted variants (bit-identical; no-op without numba).
-    * ``bulk`` — compute bounds/rungs/dominance vectors for each shape's
-      whole candidate universe in one numpy pass and materialize mappings
-      lazily (:mod:`repro.search.bulk`; analytical backend only,
-      bit-identical results and counters either way).
     * ``max_mappings="auto"`` — adaptive universe (analytical backend,
       exhaustive policy): a small seeded sample grown only where the bound
       landscape is tight, returning exactly the uncapped exhaustive winner
@@ -467,17 +441,15 @@ def search_model(arch: ArchSpec, workloads: Sequence, model_name: str = "model",
             arch, workloads, model_name=model_name, metric=metric,
             max_mappings=max_mappings, energy=energy,
             workers=session.resolve_workers(workers), chunk_size=chunk_size,
-            prune=prune, seed=seed, cache=cache, vectorize=vectorize,
-            backend=backend, policy=policy, budget=budget, compile=compile,
-            frontier=frontier, fused=fused, bulk=bulk,
+            prune=prune, seed=seed, cache=cache, backend=backend,
+            policy=policy, budget=budget, frontier=frontier, fused=fused,
             constraints=constraints)
     request = SearchRequest(
         workloads=tuple(workload_payload(wl) for wl in workloads),
         arch=arch_payload(arch), model=model_name, metric=metric,
         max_mappings=max_mappings, seed=seed, prune=prune,
-        backend=backend or "analytical", workers=workers,
-        vectorize=vectorize, fresh_cache=True, policy=policy, budget=budget,
-        compile=compile, frontier=frontier, fused=fused, bulk=bulk,
+        backend=backend or "analytical", workers=workers, fresh_cache=True,
+        policy=policy, budget=budget, frontier=frontier, fused=fused,
         constraints=constraints)
     return session.run(request).cost
 
@@ -488,10 +460,8 @@ def search_models(arches: Sequence[ArchSpec], workloads: Sequence,
                   energy: Optional[EnergyTable] = None,
                   workers: Optional[int] = 1,
                   chunk_size: Optional[int] = None, prune: bool = True,
-                  seed: int = 0, vectorize: bool = True,
-                  backend: str = "analytical", policy: str = "exhaustive",
-                  budget: Optional[int] = None,
-                  compile: bool = False,
+                  seed: int = 0, backend: str = "analytical",
+                  policy: str = "exhaustive", budget: Optional[int] = None,
                   constraints=None) -> Dict[str, ModelCost]:
     """Run :func:`search_model` for several architectures (Fig. 13 style)."""
     return {
@@ -499,8 +469,7 @@ def search_models(arches: Sequence[ArchSpec], workloads: Sequence,
                                 metric=metric, max_mappings=max_mappings,
                                 energy=energy, workers=workers,
                                 chunk_size=chunk_size, prune=prune, seed=seed,
-                                vectorize=vectorize, backend=backend,
-                                policy=policy, budget=budget, compile=compile,
+                                backend=backend, policy=policy, budget=budget,
                                 constraints=constraints)
         for arch in arches
     }

@@ -46,7 +46,8 @@ Usage::
 
 ``--port 0`` binds an ephemeral port; the chosen port is printed on the
 ``serving on http://host:port`` line (machine-parsable — the smoke test
-and the e2e test read it).
+and the e2e test read it).  SIGTERM stops the server like Ctrl-C: the
+session closes and its offload workers exit with it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -75,6 +77,9 @@ class ReproRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle on, a keep-alive
+    # client's delayed ACK of the first holds back the second (~40 ms).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------ verbs
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
@@ -207,6 +212,9 @@ def main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover
                       store_path=args.store, offload=offload)
     server = create_server(args.host, args.port, session)
     host, port = server.server_address[:2]
+    # SIGTERM (a process manager's stop) leaves through the same path as
+    # Ctrl-C, so the finally block below reaps the offload workers.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     print(f"serving on http://{host}:{port}", flush=True)
     try:
         server.serve_forever()

@@ -86,7 +86,6 @@ _search_requests = st.builds(
     layouts=st.one_of(st.none(),
                       st.just(("HWC_C32",)), st.just(("MK_K32", "MK_M32"))),
     workers=st.one_of(st.none(), st.integers(1, 8)),
-    vectorize=st.booleans(),
     fresh_cache=st.booleans())
 
 _eval_requests = st.builds(
@@ -105,8 +104,7 @@ _sweep_requests = st.builds(
     backend=st.one_of(st.none(), st.just("analytical")),
     skip_incompatible=st.booleans(),
     force=st.booleans(),
-    workers=st.one_of(st.none(), st.integers(1, 4)),
-    vectorize=st.booleans())
+    workers=st.one_of(st.none(), st.integers(1, 4)))
 
 
 class TestRequestRoundTrips:
@@ -165,6 +163,16 @@ class TestRequestRoundTrips:
             SearchRequest(workloads="resnet50[:2]", arch="FEATHER",
                           schema_version=99)
 
+    def test_schema_v5_rejects_the_removed_how_knobs(self):
+        base = {"workloads": "resnet50[:2]", "arch": "FEATHER"}
+        for knob in ("vectorize", "bulk", "compile"):
+            with pytest.raises(InvalidRequestError, match="does not accept"):
+                SearchRequest.from_dict(dict(base, **{knob: True}))
+        with pytest.raises(InvalidRequestError, match="does not accept"):
+            SweepRequest.from_dict({"filter": "smoke", "vectorize": False})
+        with pytest.raises(InvalidRequestError, match="schema_version"):
+            SearchRequest.from_dict(dict(base, schema_version=4))
+
     def test_non_integer_counts_are_typed_invalid_requests(self):
         base = {"workloads": "resnet50[:2]", "arch": "FEATHER"}
         for bad in ({"policy": "halving", "budget": "x"},
@@ -213,8 +221,6 @@ class TestContentKeys:
         variants = [
             SearchRequest(workloads="resnet50[:2]", arch="FEATHER",
                           workers=4),
-            SearchRequest(workloads="resnet50[:2]", arch="FEATHER",
-                          vectorize=False),
             SearchRequest(workloads="resnet50[:2]", arch="FEATHER",
                           fresh_cache=True),
         ]
@@ -388,6 +394,24 @@ class TestSessionSemantics:
                                           backend="bogus"))
         assert excinfo.value.code == "unknown_backend"
         assert excinfo.value.payload()["code"] == "unknown_backend"
+
+    def test_layouts_that_cannot_address_the_tensor_are_rejected(self):
+        with Session(name="t") as session:
+            for workload, layout in (("fig10_gemms#0", "garbage"),
+                                     ("fig10_gemms#0", "MKK_K32"),
+                                     ("fig10_gemms#0", "HWC_C32"),
+                                     ("fig10_gemms#0", "M_K32"),
+                                     ("fig10_gemms#0", "MK_C4"),
+                                     ("resnet50[:4]#2", "MK_K32"),
+                                     ("resnet50[:4]#2", "HWC_C4W4M2")):
+                with pytest.raises(InvalidRequestError, match="layout"):
+                    session.run(EvalRequest(workload=workload,
+                                            arch="FEATHER", layout=layout))
+            # Any order of the streaming dims is a layout; reordering the
+            # inter-line dims of a GEMM input still prices.
+            for layout in ("MK_K32", "KM_M4K8"):
+                session.run(EvalRequest(workload="fig10_gemms#0",
+                                        arch="FEATHER", layout=layout))
 
     def test_eval_request_matches_backend_directly(self):
         from repro.backends import create_backend

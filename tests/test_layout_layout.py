@@ -39,6 +39,11 @@ class TestParseLayout:
         with pytest.raises(ValueError):
             parse_layout("_")
 
+    def test_parse_rejects_repeated_dims(self):
+        for text in ("garbage", "HWH_C32", "MK_K4K8"):
+            with pytest.raises(ValueError, match="repeat"):
+                parse_layout(text)
+
 
 class TestLayoutProperties:
     def test_line_size_product(self):

@@ -33,6 +33,18 @@ class TestLayoutLibraries:
             # Resizing is best-effort; at minimum the library still parses.
             assert layout.line_size >= 1
 
+    def test_every_library_layout_fits_its_streaming_tensor(self):
+        from repro.api.codec import check_layout_fits
+        from repro.workloads.conv import ConvLayerSpec
+        from repro.workloads.gemm import GemmSpec
+
+        conv = ConvLayerSpec("c", m=8, c=8, h=8, w=8, r=3, s=3)
+        gemm = GemmSpec("g", m=8, k=8, n=8)
+        for layout in conv_layout_library() + motivation_layouts():
+            check_layout_fits(layout, conv)
+        for layout in gemm_layout_library():
+            check_layout_fits(layout, gemm)
+
     def test_motivation_layouts_include_fig4_pair(self):
         names = {l.name for l in motivation_layouts()}
         assert "HWC_W2C3" in names

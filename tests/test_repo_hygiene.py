@@ -2,7 +2,11 @@
 
 * every ``tools/bench_guard.py --gates`` choice is run by CI — a gate the
   docs describe but CI never runs guards nothing;
-* the package version has one source, ``repro.__version__``.
+* the package version has one source, ``repro.__version__``;
+* ``docs/schemas/`` holds the current wire version's schemas and nothing
+  else;
+* the scalar search oracle lives with the tests, and the numba layer is
+  gone from the package.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import shlex
 from pathlib import Path
 
 import repro
+from repro.api.requests import API_SCHEMA_VERSION
+from repro.api.schemas import ALL_SCHEMAS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,3 +65,14 @@ def test_version_has_one_source():
     assert re.search(r'^version\s*=\s*\{\s*attr\s*=\s*"repro.__version__"',
                      text, re.MULTILINE)
     assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+
+def test_docs_schemas_hold_only_the_current_version():
+    exported = {p.name for p in (ROOT / "docs" / "schemas").glob("*")}
+    assert exported == {f"{name}.v{API_SCHEMA_VERSION}.json"
+                        for name in ALL_SCHEMAS}
+
+
+def test_the_scalar_oracle_lives_with_the_tests():
+    assert importlib.util.find_spec("repro.kernel.jit") is None
+    assert (ROOT / "tests" / "oracle.py").exists()

@@ -172,8 +172,7 @@ class TestRecordRoundTrip:
         totals=st.dictionaries(names, finite, max_size=4),
         layers=st.lists(layer_records, max_size=3),
         search=st.fixed_dictionaries({"evaluations": st.integers(0, 10**6)}),
-        repro_version=names, workers=st.integers(1, 8),
-        vectorize=st.booleans(), elapsed_s=finite)
+        repro_version=names, workers=st.integers(1, 8), elapsed_s=finite)
 
     @settings(max_examples=50, deadline=None)
     @given(record=records)
@@ -187,8 +186,7 @@ class TestRecordRoundTrip:
     @given(record=records)
     def test_deterministic_payload_drops_run_metadata(self, record):
         payload = record.deterministic_payload()
-        for volatile in ("workers", "vectorize", "elapsed_s",
-                         "repro_version", "key"):
+        for volatile in ("workers", "elapsed_s", "repro_version", "key"):
             assert volatile not in payload
         assert payload["seed"] == record.seed
 
@@ -378,15 +376,15 @@ class TestCli:
         assert cli.main(["diff", str(record_path), str(tampered_path)]) == 1
         assert "totals.total_cycles" in capsys.readouterr().out
 
-    def test_run_no_vectorize_matches_default(self, tmp_path):
+    def test_records_with_the_dropped_vectorize_field_still_read(
+            self, tmp_path):
         args = ["run", "--filter", TINY, "--runs-dir", str(tmp_path)]
         assert cli.main(args) == 0
-        record = ScenarioRecord.read(tmp_path / f"{slugify(TINY)}.json")
-        assert cli.main(args + ["--no-vectorize", "--force"]) == 0
-        scalar = ScenarioRecord.read(tmp_path / f"{slugify(TINY)}.json")
-        assert (scalar.deterministic_payload()
-                == record.deterministic_payload())
-        assert scalar.vectorize is False
+        path = tmp_path / f"{slugify(TINY)}.json"
+        record = ScenarioRecord.read(path)
+        legacy = dict(record.to_dict(), vectorize=False)
+        path.write_text(json.dumps(legacy))
+        assert ScenarioRecord.read(path) == record
 
 
 class TestBackendCells:

@@ -14,8 +14,10 @@ payloads".  Dedicated concurrency behavior (coalescing under parallel
 load, the shared store) lives in ``test_serve_concurrent.py``.
 """
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -136,6 +138,18 @@ def test_error_codes_are_stable(service):
                         "max_mappings": True}, 400, "invalid_request"),
         ("/v1/search", {"workloads": "resnet50[:2]", "arch": "FEATHER",
                         "max_mappings": 2.7}, 400, "invalid_request"),
+        ("/v1/search", {"workloads": "resnet50[:2]", "arch": "FEATHER",
+                        "vectorize": False}, 400, "invalid_request"),
+        ("/v1/search", {"workloads": "resnet50[:2]", "arch": "FEATHER",
+                        "bulk": True}, 400, "invalid_request"),
+        ("/v1/search", {"workloads": "resnet50[:2]", "arch": "FEATHER",
+                        "compile": True}, 400, "invalid_request"),
+        ("/v1/search", {"workloads": "resnet50[:2]", "arch": "FEATHER",
+                        "schema_version": 4}, 400, "invalid_request"),
+        ("/v1/eval", {"workload": "fig10_gemms#0", "arch": "FEATHER",
+                      "layout": "garbage"}, 400, "invalid_request"),
+        ("/v1/eval", {"workload": "fig10_gemms#0", "arch": "FEATHER",
+                      "layout": "HWC_C32"}, 400, "invalid_request"),
         ("/v1/nope", {}, 404, "not_found"),
     ]
     for path, body, expected_status, expected_code in cases:
@@ -143,6 +157,29 @@ def test_error_codes_are_stable(service):
         assert status == expected_status, (path, body, payload)
         assert payload["error"]["code"] == expected_code
         assert payload["error"]["message"]
+
+
+def test_keep_alive_requests_do_not_stall(service):
+    """Ten requests on one keep-alive connection.  The server writes headers
+    and body separately; with Nagle's algorithm on, each response's body
+    waits for the client's delayed ACK (~40 ms a request)."""
+    base, _ = service
+    host, port = base[len("http://"):].split(":")
+    body = json.dumps({"workload": "fig10_gemms#0", "arch": "FEATHER-4x4",
+                       "layout": "MK_K32"}).encode("utf-8")
+    connection = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        start = time.perf_counter()
+        for _ in range(10):
+            connection.request("POST", "/v1/eval", body=body, headers={
+                "Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == 200
+            json.loads(response.read())
+        elapsed = time.perf_counter() - start
+    finally:
+        connection.close()
+    assert elapsed < 10 * 0.040 / 2, f"10 keep-alive requests took {elapsed}s"
 
 
 def test_malformed_json_is_a_structured_400(service):

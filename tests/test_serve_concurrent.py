@@ -31,6 +31,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -259,3 +260,51 @@ def test_second_replica_serves_golden_resnet50_from_shared_store(tmp_path):
     finally:
         replica_b.terminate()
         replica_b.wait(timeout=10)
+
+
+# ------------------------------------------------------------ SIGTERM exit
+def _state_and_parent(stat: Path):
+    """``(state, ppid)`` from a ``/proc/<pid>/stat`` file; None once the
+    process is gone."""
+    try:
+        fields = stat.read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _alive(pid: int) -> bool:
+    entry = _state_and_parent(Path(f"/proc/{pid}/stat"))
+    return entry is not None and entry[0] != "Z"
+
+
+def _children(pid: int):
+    """Live (non-zombie) child processes of ``pid``."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        entry = _state_and_parent(stat)
+        if entry is not None and entry[1] == pid and entry[0] != "Z":
+            children.append(int(stat.parent.name))
+    return children
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads the process table from /proc")
+def test_sigterm_reaps_the_offload_workers(tmp_path):
+    """A SIGTERM (a process manager's stop) closes the session, so no
+    offload worker outlives the server."""
+    server, base = _spawn_replica(tmp_path, tmp_path / "store.sqlite")
+    try:
+        _post(base, {"workloads": "resnet50[:2]", "arch": "FEATHER",
+                     "max_mappings": 12})
+        workers = _children(server.pid)
+        if (os.cpu_count() or 1) > 1:
+            # The multi-core serve CLI offloads cold searches to a pool.
+            assert workers, "the search ran without offload workers"
+    finally:
+        server.terminate()
+        assert server.wait(timeout=30) == 0
+    deadline = time.monotonic() + 10
+    while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in workers if _alive(pid)]

@@ -8,7 +8,8 @@ when a fast path is not measurably faster than its reference:
   mappings x the conv layout library) on SIGMA with off-chip reordering,
   where the batched concordance analysis carries the load;
 * **cosearch** — the whole deduplicated ``search_model`` co-search on
-  FEATHER at ``workers=1``, scalar (``vectorize=False``) vs vectorized;
+  FEATHER at ``workers=1``, the scalar test oracle (``tests/oracle.py``)
+  vs the production path;
 * **api** — repeat traffic on a warm :class:`repro.api.Session` vs the
   per-call ``search_model`` shim (the session's shared evaluation cache
   and persistent per-configuration mappers carry the load).
@@ -27,14 +28,14 @@ no more candidates than the exhaustive universe.
 full cost-model evaluations instead of wall-clock: the budgeted search
 policies must reproduce the exhaustive winner on every unique ResNet-50
 shape, with the warm-started evolutionary policy doing it in at least
-``--min-budget-reduction`` (3x) fewer evaluations — and the compiled
-kernel must be bit-identical to the oracle when numba is installed.
+``--min-budget-reduction`` (3x) fewer evaluations.
 **bulk** (``--gates bulk``) checks the
-batched bound pipeline: an exhaustive search with ``bulk=True`` must be
-bit-identical to the scalar bound path on every golden cell (winners,
-frontiers *and* counters), and the uncapped exhaustive ResNet-50
-co-search must run at least ``--min-bulk-speedup`` (1.5x) faster with
-the bulk pipeline — the timing run is appended to ``BENCH_search.json``.
+batched bound pipeline: an exhaustive search must be bit-identical to the
+oracle's scalar bound path (one bound per mapping, batched evaluation) on
+every golden cell (winners, frontiers *and* counters), and the uncapped
+exhaustive ResNet-50 co-search must run at least ``--min-bulk-speedup``
+(1.5x) faster than that reference — the timing run is appended to
+``BENCH_search.json``.
 **constraints** (``--gates constraints``) is the identity gate on the
 constraint layer: with no ConstraintSet bound, a mapper with the layer
 forced off (``constraints="none"``) must be bit-identical to the default
@@ -67,22 +68,25 @@ import sys
 from pathlib import Path
 
 
-def _load_best_of():
-    """The shared best-of-N timer from ``benchmarks/_timing.py``.
+def _load(relative: str, name: str):
+    """A helper module of the repo, loaded by file path.
 
-    Loaded by file path: the benchmark suite is not an importable package,
-    and the helper must stay single-sourced so the guard and the benchmarks
-    can never de-noise differently.  ``_timing`` is deliberately
-    pytest-free — the guard needs only stdlib + repro.
+    Neither the benchmark suite nor the tests are importable packages, and
+    both helpers must stay single-sourced: the best-of-N timer
+    (``benchmarks/_timing.py``) so the guard and the benchmarks can never
+    de-noise differently, the scalar search oracle (``tests/oracle.py``)
+    so the guard times the same reference the equivalence tests pin.  Both
+    are pytest-free — the guard needs only stdlib + numpy + repro.
     """
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "_timing.py"
-    spec = importlib.util.spec_from_file_location("_bench_timing", path)
+    path = Path(__file__).resolve().parent.parent / relative
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.best_of
+    return module
 
 
-best_of = _load_best_of()
+best_of = _load("benchmarks/_timing.py", "_bench_timing").best_of
+oracle = _load("tests/oracle.py", "_search_oracle")
 
 
 def kernel_speedup(rounds: int) -> float:
@@ -102,7 +106,7 @@ def kernel_speedup(rounds: int) -> float:
             cases.append((shape, mapping))
 
     scalar_s, scalar = best_of(
-        lambda: [[model.evaluate(wl, m, l) for l in layouts]
+        lambda: [oracle.evaluate_layouts(model, wl, m, layouts)
                  for wl, m in cases], rounds)
     def run_batched():
         # Every round times the kernel, not the previous round's memo.
@@ -124,13 +128,13 @@ def kernel_speedup(rounds: int) -> float:
 
 
 def cosearch_speedup(rounds: int) -> float:
-    """Scalar vs vectorized whole-model co-search speedup on FEATHER.
+    """Scalar-oracle vs production whole-model co-search speedup on FEATHER.
 
-    The reference is the full scalar path — ``vectorize=False`` *and*
-    ``bulk=False`` — because the bulk bound pipeline accelerates the
-    scalar-evaluation engine itself (~4x); leaving bulk on in the
-    reference would make this gate measure only the evaluation batching
-    remainder instead of the fast path against its scalar oracle.
+    The reference is the oracle's fully scalar path — scalar evaluations
+    *and* one bound per mapping — because the bulk bound pipeline
+    accelerates the scalar-evaluation engine itself (~4x); a reference
+    with bulk bounds would make this gate measure only the evaluation
+    batching remainder instead of the fast path against its scalar oracle.
     """
     from repro.layoutloop.arch import feather_arch
     from repro.search.engine import search_model
@@ -138,8 +142,8 @@ def cosearch_speedup(rounds: int) -> float:
 
     layers = resnet50_layers(include_fc=False)
     scalar_s, scalar = best_of(
-        lambda: search_model(feather_arch(), layers, max_mappings=24,
-                             vectorize=False, bulk=False), rounds)
+        lambda: oracle.search_model(feather_arch(), layers, max_mappings=24),
+        rounds)
     vector_s, vector = best_of(
         lambda: search_model(feather_arch(), layers, max_mappings=24), rounds)
     if (vector.total_cycles != scalar.total_cycles
@@ -198,10 +202,7 @@ def budget_reduction() -> float:
       seeded from the memoized per-shape winners; must also reproduce every
       exhaustive winner, and its reduction is the gated ratio.
 
-    Also verifies the compiled kernel path bit-identically matches the
-    scalar oracle when numba is importable (skipped, loudly, otherwise).
     """
-    from repro.kernel import NUMBA_AVAILABLE
     from repro.layoutloop.arch import feather_arch
     from repro.layoutloop.mapper import Mapper
     from repro.search.budget import evolutionary_search, halving_search
@@ -252,31 +253,10 @@ def budget_reduction() -> float:
                   f"on {result.workload}")
             sys.exit(1)
 
-    if NUMBA_AVAILABLE:
-        from repro.layoutloop.cost_model import CostModel
-        from repro.layout.library import conv_layout_library
-
-        compiled = CostModel(arch, compile=True)
-        oracle = CostModel(arch)
-        layouts = conv_layout_library()
-        workload = shapes[0]
-        mapping = winners[workload_signature(workload)].best_mapping
-        if ([record.report(workload, mapping, layout) for record, layout
-             in zip(compiled.evaluate_mapping_batch(workload, mapping,
-                                                    layouts), layouts)]
-                != [oracle.evaluate(workload, mapping, layout)
-                    for layout in layouts]):
-            print("FAIL: compiled kernel reports differ from the oracle")
-            sys.exit(1)
-        compiled_note = "compiled kernel identical"
-    else:
-        compiled_note = "compiled check skipped (numba not installed)"
-
     reduction = baseline / evo_evals
     print(f"budget   : exhaustive {baseline}  halving {halving_evals} "
           f"({baseline / halving_evals:.2f}x)  warm evolutionary {evo_evals} "
-          f"({reduction:.2f}x)  identical winners on {len(shapes)} shapes, "
-          f"{compiled_note}")
+          f"({reduction:.2f}x)  identical winners on {len(shapes)} shapes")
     return reduction
 
 
@@ -337,8 +317,10 @@ def bulk_speedup(rounds: int, bench_path: Path) -> float:
     Two checks, in order:
 
     * **identity** — on every golden-matrix cell, an exhaustive search
-      with the bulk bound pipeline (``bulk=True``, the default) must be
-      bit-identical to the scalar bound path (``bulk=False``): same
+      with the bulk bound pipeline (the production path) must be
+      bit-identical to the oracle's scalar bound path
+      (``ScalarMapper(batched=True)``: one bound per mapping, the same
+      batched evaluations): same
       winner report, mapping, layout *and* the same evaluated/pruned
       counters, since the bulk bounds replicate the scalar float
       arithmetic exactly.  Frontier cells compare the full serialized
@@ -363,17 +345,17 @@ def bulk_speedup(rounds: int, bench_path: Path) -> float:
     from repro.search.signatures import workload_signature
     from repro.workloads.resnet50 import resnet50_layers
 
-    def mapper_for(cell, bulk: bool) -> Mapper:
+    def mapper_for(cell, cls, **options) -> Mapper:
         # crossval cells search analytically (the simulator leg replays
         # winners); every other backend is instantiated as the cell runs it.
         arch = resolve_arch(cell.arch)
         backend = ("analytical" if cell.backend in ("analytical", "crossval")
                    else create_backend(cell.backend, arch,
                                        seed=cell.config.seed))
-        return Mapper(arch, metric=cell.config.metric,
-                      max_mappings=cell.config.max_mappings,
-                      seed=cell.config.seed, prune=cell.config.prune,
-                      backend=backend, bulk=bulk)
+        return cls(arch, metric=cell.config.metric,
+                   max_mappings=cell.config.max_mappings,
+                   seed=cell.config.seed, prune=cell.config.prune,
+                   backend=backend, **options)
 
     def unique(workloads):
         seen = {}
@@ -384,8 +366,8 @@ def bulk_speedup(rounds: int, bench_path: Path) -> float:
     cells = list(golden_matrix())
     checked = 0
     for cell in cells:
-        scalar_mapper = mapper_for(cell, False)
-        bulk_mapper = mapper_for(cell, True)
+        scalar_mapper = mapper_for(cell, oracle.ScalarMapper, batched=True)
+        bulk_mapper = mapper_for(cell, Mapper)
         for workload in unique(resolve_workload_set(cell.workload_set)):
             if cell.config.frontier:
                 s_res, s_front = scalar_mapper.search_frontier(workload)
@@ -411,12 +393,13 @@ def bulk_speedup(rounds: int, bench_path: Path) -> float:
     arch = resolve_arch("FEATHER")
     uncapped = 10 ** 9  # larger than any per-shape universe: exhaustive
 
-    def run(bulk: bool):
-        mapper = Mapper(arch, max_mappings=uncapped, seed=0, bulk=bulk)
+    def run(cls, **options):
+        mapper = cls(arch, max_mappings=uncapped, seed=0, **options)
         return [mapper.search(workload) for workload in shapes]
 
-    scalar_s, scalar_results = best_of(lambda: run(False), rounds)
-    bulk_s, bulk_results = best_of(lambda: run(True), rounds)
+    scalar_s, scalar_results = best_of(
+        lambda: run(oracle.ScalarMapper, batched=True), rounds)
+    bulk_s, bulk_results = best_of(lambda: run(Mapper), rounds)
     for s_res, b_res in zip(scalar_results, bulk_results):
         if (s_res.best_report != b_res.best_report
                 or s_res.best_mapping.name != b_res.best_mapping.name
