@@ -11,10 +11,10 @@ FEATHER over all ResNet-50 conv layers:
   sampler) — the scalar bounds keep this row the reference it claims to
   be, since the bulk bound pipeline speeds up the scalar-evaluation
   engine itself by ~4x;
-* **engine**     — ``search_model`` serial on the production path
-  (compiled layouts, batched evaluation, bulk bounds, streaming mapping
-  sampling);
-* **engine-par** — ``search_model`` with worker processes.
+* **engine**     — the same search as a :class:`~repro.api.SearchRequest`
+  with a fresh evaluation cache, serial, on the production path (compiled
+  layouts, batched evaluation, bulk bounds, streaming mapping sampling);
+* **engine-par** — that request with worker processes.
 
 All four must produce bit-identical totals; the engine must beat the naive
 path outright and the vectorized kernel must beat the scalar oracle by at
@@ -30,9 +30,9 @@ import time
 
 import pytest
 
+from repro.api import SearchRequest, Session
 from repro.layoutloop.arch import feather_arch
-from repro.layoutloop.cosearch import LayerChoice, ModelCost, unique_workloads
-from repro.search.engine import search_model
+from repro.layoutloop.cosearch import LayerChoice, ModelCost
 from repro.workloads.resnet50 import resnet50_layers
 
 import oracle
@@ -43,6 +43,13 @@ MAX_MAPPINGS = 24
 def _print_header(title: str) -> None:
     line = "=" * len(title)
     print(f"\n{line}\n{title}\n{line}")
+
+
+def _search(session: Session, workers: int = 1) -> ModelCost:
+    """The ResNet-50 co-search on FEATHER, on a fresh evaluation cache."""
+    return session.run(SearchRequest(
+        workloads="resnet50", arch="FEATHER", model="resnet50",
+        max_mappings=MAX_MAPPINGS, workers=workers, fresh_cache=True)).cost
 
 
 def _naive_cosearch(layers) -> ModelCost:
@@ -71,22 +78,18 @@ def test_search_engine_speedup_resnet50(benchmark, best_of):
                                     model_name="resnet50",
                                     max_mappings=MAX_MAPPINGS))
 
-    engine = benchmark.pedantic(
-        search_model, args=(feather_arch(), layers),
-        kwargs={"model_name": "resnet50", "max_mappings": MAX_MAPPINGS},
-        iterations=1, rounds=1)
-    # The >= 5x floor below is an acceptance gate; take the best of three
-    # vectorized runs (pedantic + 2) so a single scheduler hiccup on a busy
-    # CI box cannot fail it spuriously.
-    second_s, _ = best_of(
-        lambda: search_model(feather_arch(), layers, model_name="resnet50",
-                             max_mappings=MAX_MAPPINGS), rounds=2)
-    engine_s = min(engine.search_stats.elapsed_s, second_s)
+    with Session(name="bench") as session:
+        engine = benchmark.pedantic(_search, args=(session,), iterations=1,
+                                    rounds=1)
+        # The >= 5x floor below is an acceptance gate; take the best of
+        # three vectorized runs (pedantic + 2) so a single scheduler hiccup
+        # on a busy CI box cannot fail it spuriously.
+        second_s, _ = best_of(lambda: _search(session), rounds=2)
+        engine_s = min(engine.search_stats.elapsed_s, second_s)
 
-    t0 = time.perf_counter()
-    parallel = search_model(feather_arch(), layers, model_name="resnet50",
-                            max_mappings=MAX_MAPPINGS, workers=2)
-    parallel_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        parallel = _search(session, workers=2)
+        parallel_s = time.perf_counter() - t0
 
     stats = engine.search_stats
     _print_header("Co-search engine throughput — ResNet-50 on FEATHER "
@@ -145,19 +148,13 @@ def test_search_engine_speedup_resnet50(benchmark, best_of):
 @pytest.mark.benchmark(group="search")
 def test_search_cache_reuse_across_metrics(benchmark):
     """A second search over the same shapes with a different objective reuses
-    the evaluation cache (cost reports are metric-independent)."""
-    from repro.search import EvaluationCache
-
-    layers = resnet50_layers(include_fc=False)
-    shapes = [wl for wl, _ in unique_workloads(layers)]
-    cache = EvaluationCache()
-
+    the session's evaluation cache (cost reports are metric-independent)."""
     def run_both():
-        edp = search_model(feather_arch(), shapes, metric="edp",
-                           max_mappings=12, cache=cache)
-        latency = search_model(feather_arch(), shapes, metric="latency",
-                               max_mappings=12, cache=cache)
-        return edp, latency
+        with Session(name="bench-metrics") as session:
+            return [session.run(SearchRequest(
+                workloads="resnet50", arch="FEATHER", metric=metric,
+                max_mappings=12, workers=1)).cost
+                for metric in ("edp", "latency")]
 
     edp, latency = benchmark.pedantic(run_both, iterations=1, rounds=1)
     _print_header("Evaluation-cache reuse across objectives (EDP then latency)")

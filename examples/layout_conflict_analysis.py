@@ -11,11 +11,20 @@ Run with:  python examples/layout_conflict_analysis.py [layer_index]
 
 import sys
 
+from repro.api import SearchRequest, Session
+from repro.api.codec import workload_payload
 from repro.baselines import sigma_like
 from repro.layout import conv_layout_library
-from repro.layoutloop import CostModel, feather_arch
-from repro.search import SearchEngine
+from repro.layoutloop import CostModel
 from repro.workloads import resnet50_layer
+
+
+def search(session: Session, layer, layouts=None):
+    """FEATHER's latency-best (dataflow, layout) for one layer."""
+    response = session.run(SearchRequest(
+        workloads=(workload_payload(layer),), arch="FEATHER",
+        metric="latency", max_mappings=120, layouts=layouts))
+    return response.cost.layer_choices[0].result
 
 
 def main() -> None:
@@ -23,12 +32,16 @@ def main() -> None:
     layer = resnet50_layer(index)
     print(f"Layer: {layer}\n")
 
-    # One engine serves both searches below: the layout-blind and the
-    # co-switched run share memoized cost-model evaluations.
-    engine = SearchEngine(feather_arch(), metric="latency", max_mappings=120)
+    # One session serves both searches: the layout-blind and the
+    # co-switched run share memoized cost-model evaluations.  The
+    # layout-blind search may pick only one layout, so bank conflicts
+    # never vary (what a conventional mapper reports).
+    with Session(name="layout-conflicts") as session:
+        theory = search(session, layer,
+                        layouts=[conv_layout_library()[0].name])
+        feather = search(session, layer)
 
-    # 1. Layout-blind best dataflow (what a conventional mapper reports).
-    theory = engine.search_layer(layer, layouts=[conv_layout_library()[0]])
+    # 1. Layout-blind best dataflow.
     mapping = theory.best_mapping
     print(f"Layout-blind best dataflow : {mapping.describe()}")
     print(f"Theoretical latency        : {theory.best_report.total_cycles:,.0f} cycles\n")
@@ -44,7 +57,6 @@ def main() -> None:
               f"{report.total_cycles / theory.best_report.total_cycles:9.1f}x")
 
     # 3. FEATHER: co-switch (dataflow, layout), reordering rides the reduction.
-    feather = engine.search_layer(layer)
     print(f"\nFEATHER co-switched choice : {feather.best_mapping.describe()}")
     print(f"  layout {feather.best_layout.name}, "
           f"latency {feather.best_report.total_cycles:,.0f} cycles, "

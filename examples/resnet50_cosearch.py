@@ -6,52 +6,50 @@ representative layers: for each layer, search the best (dataflow, layout) pair
 by energy-delay product for FEATHER and for three baselines, then print the
 per-layer and aggregate comparison.
 
-All searches run through the shared engine (`repro.search`), which memoizes
-cost-model evaluations, prunes with admissible bounds, and can fan the
-unique layer shapes out across worker processes (`--workers N`, results are
-bit-identical to serial).
+All searches are `SearchRequest`s on one `repro.api.Session`, whose engine
+memoizes cost-model evaluations, prunes with admissible bounds, and can fan
+the unique layer shapes out across worker processes (`--workers N`, results
+are bit-identical to serial).
 
 Run with:  python examples/resnet50_cosearch.py  [--full] [--workers N]
 """
 
 import argparse
 
-from repro.baselines import eyeriss_like, nvdla_like, sigma_like
-from repro.layoutloop import feather_arch
-from repro.search import SearchEngine, search_models
-from repro.workloads import resnet50_layer, resnet50_layers
+from repro.api import SearchRequest, Session
+from repro.api.codec import workload_payload
+from repro.workloads import resnet50_layer
 
 
-def per_layer_demo(layer_indices=(1, 14, 41)) -> None:
+def per_layer_demo(session: Session, layer_indices=(1, 14, 41)) -> None:
     print("Per-layer co-search (metric: EDP)")
     print(f"{'layer':22s} {'arch':14s} {'dataflow':28s} {'layout':12s} "
           f"{'util':>6s} {'slowdown':>9s} {'pJ/MAC':>7s}")
-    engines = {arch.name: SearchEngine(arch, max_mappings=80)
-               for arch in (nvdla_like(), eyeriss_like(), feather_arch())}
     for idx in layer_indices:
         layer = resnet50_layer(idx)
-        for engine in engines.values():
-            result = engine.search_layer(layer)
-            arch = engine.arch
+        for arch in ("NVDLA-like", "Eyeriss-like", "FEATHER"):
+            response = session.run(SearchRequest(
+                workloads=(workload_payload(layer),), arch=arch,
+                max_mappings=80))
+            result = response.cost.layer_choices[0].result
             report = result.best_report
-            print(f"{layer.name:22s} {arch.name:14s} "
+            print(f"{layer.name:22s} {arch:14s} "
                   f"{result.best_mapping.name[:28]:28s} {result.best_layout.name:12s} "
                   f"{report.utilization:6.2f} {report.slowdown:9.2f} "
                   f"{report.energy_per_mac_pj:7.2f}")
         print()
 
 
-def full_model_comparison(max_layers=None, workers=None) -> None:
-    layers = resnet50_layers(include_fc=False)
-    if max_layers:
-        layers = layers[:max_layers]
-    arches = [nvdla_like(), eyeriss_like(), sigma_like(layout="HWC_C32"),
-              feather_arch()]
-    print(f"Whole-model comparison over {len(layers)} ResNet-50 layers "
-          f"(deduplicated by shape)")
-    costs = search_models(arches, layers, model_name="resnet50",
-                          max_mappings=60, workers=workers)
+def full_model_comparison(session: Session, max_layers=None,
+                          workers=None) -> None:
+    workloads = f"resnet50[:{max_layers}]" if max_layers else "resnet50"
+    arches = ["NVDLA-like", "Eyeriss-like", "SIGMA-like (HWC_C32)", "FEATHER"]
+    costs = {arch: session.run(SearchRequest(
+        workloads=workloads, arch=arch, model="resnet50", max_mappings=60,
+        workers=workers)).cost for arch in arches}
     feather = costs["FEATHER"]
+    print(f"Whole-model comparison over {feather.search_stats.layers_total} "
+          f"ResNet-50 layers (deduplicated by shape)")
     print(f"{'arch':22s} {'cycles':>14s} {'norm lat':>9s} {'pJ/MAC':>8s} "
           f"{'norm energy':>12s} {'avg util':>9s} {'stall %':>8s}")
     for name, cost in costs.items():
@@ -73,9 +71,11 @@ def main() -> None:
                              "(default: REPRO_SEARCH_WORKERS or serial)")
     args = parser.parse_args()
 
-    per_layer_demo()
-    full_model_comparison(max_layers=None if args.full else 16,
-                          workers=args.workers)
+    with Session(name="resnet50-cosearch") as session:
+        per_layer_demo(session)
+        full_model_comparison(session,
+                              max_layers=None if args.full else 16,
+                              workers=args.workers)
 
 
 if __name__ == "__main__":

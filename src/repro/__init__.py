@@ -26,9 +26,9 @@ Typical entry points:
   dedup); ``python -m repro.serve`` exposes the same surface over HTTP
 * :class:`repro.workloads.ConvLayerSpec` / :func:`repro.workloads.resnet50_layers`
 * :class:`repro.feather.FeatherAccelerator` — functional + timing model
-* :class:`repro.layoutloop.CostModel` and :func:`repro.layoutloop.cosearch`
-* :func:`repro.search.search_model` — the legacy batch co-search front
-  (now a deprecation shim over the module-default session)
+* :class:`repro.layoutloop.CostModel` and :class:`repro.layoutloop.Mapper`
+  — one cell's cost and one layer's (dataflow, layout) search
+* :mod:`repro.scenarios` — the paper's co-searches as declarative cells
 * :mod:`repro.experiments` — one module per paper figure/table
 """
 

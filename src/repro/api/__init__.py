@@ -12,10 +12,10 @@ each JSON-round-trippable and versioned), hand it to a long-lived
 The same requests arrive identically from Python (``session.run``),
 asynchronously (``session.submit``, with in-flight dedup by content key),
 or over the wire (``python -m repro.serve`` exposes ``/v1/eval``,
-``/v1/search``, ``/v1/sweep`` on a shared session).  The legacy entry
-points (``search_model``, ``evaluate_model``, ``compare_architectures``,
-``model_costs``) survive as thin deprecation shims over the module-default
-session and stay bit-identical.
+``/v1/search``, ``/v1/sweep`` on a shared session).  Every co-search in
+the repo — the scenario runner, the figure reproductions, the examples
+and the benchmarks — is a :class:`SearchRequest` on a session; there is
+no other front.
 
 Quick start::
 

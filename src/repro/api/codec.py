@@ -3,8 +3,8 @@
 The request dataclasses of :mod:`repro.api.requests` reference workloads,
 architectures, mappings and layouts either **by registry name** (the
 :mod:`repro.scenarios.registry` path — what a wire client should use) or
-**inline** as the payload dictionaries defined here (what the deprecation
-shims use, since they receive already-constructed objects).  Both forms are
+**inline** as the payload dictionaries defined here (what a Python caller
+holding already-constructed objects uses).  Both forms are
 plain JSON; this module owns the encode/decode pair for each object kind
 and guarantees the round trip is exact — a decoded object produces the
 same :mod:`repro.search.signatures` signature as the original, so content

@@ -6,8 +6,7 @@ One request class per verb of the façade:
   architecture and backend (the :class:`~repro.backends.base.BackendReport`
   vocabulary).
 * :class:`SearchRequest` — whole-model (dataflow, layout) co-search: the
-  verb behind ``search_model`` / ``evaluate_model`` / every figure
-  co-search.
+  verb behind every figure co-search, scenario cell and example.
 * :class:`SweepRequest` — a scenario-matrix sweep: named cells (or a
   filter over the built-in matrix) executed with content-addressed
   artifact caching.
@@ -144,9 +143,9 @@ class SearchRequest(_RequestBase):
     execution but excluded from the content key (``policy``/``budget``
     change the result and are keyed).  ``fresh_cache=True`` gives the search
     a private evaluation cache instead of the session's shared one — the
-    deprecation shims and the scenario runner use it so per-call cache
-    counters (embedded in records and golden files) stay deterministic;
-    native façade callers leave it off and get cross-request reuse.
+    scenario runner uses it so per-call cache counters (embedded in records
+    and golden files) stay deterministic; other callers leave it off and
+    get cross-request reuse.
     """
 
     workloads: Union[str, Tuple[Dict[str, object], ...]]
@@ -193,7 +192,8 @@ class SearchRequest(_RequestBase):
     workers: Optional[int] = None
     """Worker processes; None resolves through the session (env/default)."""
     fresh_cache: bool = False
-    """Use a private evaluation cache for this request (legacy semantics)."""
+    """Use a private evaluation cache for this request (per-call engine
+    counters, no reuse of the session's cache or mapper memo)."""
     constraints: Optional[str] = None
     """Constraint-aware search mode (:mod:`repro.constraints`): ``None``
     (default) inherits the backend's own ConstraintSet — none for

@@ -12,8 +12,8 @@ names.
 
 Each response also keeps a **live-object handle** for in-process callers
 (``EvalResponse.backend_report``, ``SearchResponse.cost``,
-``SweepResponse.results``): that is what lets the deprecation shims return
-bit-identical legacy objects.  The handles are excluded from ``to_dict`` /
+``SweepResponse.results``), so Python callers can read the domain objects
+the numbers came from.  The handles are excluded from ``to_dict`` /
 equality, so JSON round trips compare equal.
 """
 
@@ -134,8 +134,7 @@ class SearchResponse(_ResponseBase):
     (run metadata — excluded from content keys like ``elapsed_s``)."""
     cost: object = field(default=None, compare=False, repr=False)
     """The live :class:`~repro.layoutloop.cosearch.ModelCost` (in-process
-    callers only — this is what the deprecation shims return; ``None`` on
-    store-served responses)."""
+    callers only; ``None`` on store-served responses)."""
 
 
 @dataclass

@@ -17,8 +17,8 @@ had.  It owns, for its whole lifetime:
 Worker-count resolution lives here and only here (explicit request value
 over the session default over the ``REPRO_SEARCH_WORKERS`` environment
 variable over serial) — the engine below executes a concrete count, and
-the scenarios CLI, the experiments and the deprecation shims all inherit
-the same precedence by routing through a session.
+the scenarios CLI and the experiments inherit the same precedence by
+routing through a session.
 
 ``run`` executes synchronously in the calling thread; ``submit`` returns a
 ``concurrent.futures.Future`` from a session-owned thread pool of
@@ -43,7 +43,7 @@ Two optional layers turn a session into a service node:
   per-call evaluation cache in the worker).
 
 The module-default session (:func:`default_session`) is what the
-deprecation shims and ``python -m repro.serve`` use; construct your own
+scenario runner and ``python -m repro.serve`` use; construct your own
 ``Session`` for isolated caches or an artifact directory.
 """
 
@@ -155,6 +155,9 @@ def _resolve_request(request: Request) -> Tuple[str, _Resolved]:
             workloads=codec.resolve_workloads(request.workloads),
             arch=codec.resolve_arch(request.arch),
             layouts=codec.resolve_layouts(request.layouts))
+        for layout in resolved.layouts or ():
+            for workload in resolved.workloads:
+                codec.check_layout_fits(layout, workload)
         # ``constraints`` is result-shaping, so it is keyed — but only when
         # set, so unconstrained requests keep the exact key tuple of the
         # previous schema (the no-constraints bit-identity promise).
@@ -227,7 +230,7 @@ class Session:
       ``store_max_bytes`` bounds it.
     * ``offload`` — run cold analytical serial searches as whole units in
       the process pool so concurrent submitters scale past the GIL.  Off
-      by default (in-process callers keep exact legacy counter/cache
+      by default (in-process callers keep the in-process counter/cache
       semantics); the service front enables it when ``--threads > 1`` on
       a multi-core host.
 
@@ -394,8 +397,8 @@ class Session:
         Its whole-result memo is what makes repeat search requests near
         instant: determinism guarantees the memoized
         :class:`~repro.layoutloop.mapper.SearchResult` objects equal a
-        fresh search's, so only the engine *counters* differ (a full memo
-        hit reports zero evaluations) — ``fresh_cache`` requests bypass
+        fresh search's, so only the cache *counters* differ (a full memo
+        hit makes zero cache lookups) — ``fresh_cache`` requests bypass
         this layer for exactly that reason.
         """
         from repro.layoutloop.cost_model import DEFAULT_ENERGY_TABLE
@@ -515,8 +518,8 @@ class Session:
         """The store record kind of a request, or None when it must not be
         store-served: sweeps have their own content-addressed artifact tier
         (``runs_dir``), and ``fresh_cache`` searches promise per-call engine
-        counters and a live ``cost`` handle (the deprecation shims, the
-        scenario runner and the golden records depend on both)."""
+        counters and a live ``cost`` handle (the scenario runner and the
+        golden records depend on both)."""
         if isinstance(request, EvalRequest):
             return "eval"
         if isinstance(request, SearchRequest) and not request.fresh_cache:
@@ -682,7 +685,7 @@ class Session:
         serialize = nullcontext()
         if crossval:
             # Fail fast on incompatible cells before burning a co-search,
-            # exactly like the legacy front.
+            # exactly like cross_validate_model.
             simulator = self.backend_for("simulator", arch, request.seed)
             serialize = getattr(simulator, "_session_serialize", serialize)
             for workload, _ in unique_workloads(workloads):
@@ -838,10 +841,9 @@ _DEFAULT: Optional[Session] = None
 def default_session() -> Session:
     """The lazily-created module-default session.
 
-    This is the session behind the deprecation shims
-    (``search_model``/``evaluate_model``/``model_costs``), the scenario
-    runner's default, and ``python -m repro.serve``; sharing it is what
-    turns N independent call sites into one warm cache and one pool.
+    This is the scenario runner's default session and the one behind
+    ``python -m repro.serve``; sharing it is what turns N independent call
+    sites into one warm cache and one pool.
     """
     global _DEFAULT
     with _DEFAULT_LOCK:

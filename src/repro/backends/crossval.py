@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.backends.simulator import SimulatorBackend
 from repro.layoutloop.arch import ArchSpec
 from repro.layoutloop.cosearch import ModelCost
-from repro.layoutloop.energy import EnergyTable
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,6 @@ class CrossValidation:
 def cross_validate_model(arch: ArchSpec, workloads: Sequence,
                          model_name: str = "model", metric: str = "edp",
                          max_mappings: int = 50, seed: int = 0,
-                         energy: Optional[EnergyTable] = None,
                          workers: Optional[int] = 1, prune: bool = True,
                          arch_label: Optional[str] = None,
                          cost: Optional[ModelCost] = None,
@@ -114,9 +112,12 @@ def cross_validate_model(arch: ArchSpec, workloads: Sequence,
     """Analytical co-search plus simulator execution of every winner.
 
     Returns ``(analytical ModelCost, CrossValidation)``; the analytical
-    cost is exactly what :func:`repro.search.engine.search_model` returns
-    for the same arguments, so cross-validation scenarios stay comparable
-    with plain analytical ones cell for cell.  ``arch_label`` overrides
+    cost is exactly what a fresh-cache analytical
+    :class:`~repro.api.SearchRequest` returns for the same arguments, so
+    cross-validation scenarios stay comparable with plain analytical ones
+    cell for cell.  ``workers=None`` resolves through
+    :meth:`repro.api.Session.resolve_workers` of the module-default
+    session.  ``arch_label`` overrides
     the architecture name embedded in the validation (the scenario runner
     passes its registry name so record and payload agree).
 
@@ -125,26 +126,28 @@ def cross_validate_model(arch: ArchSpec, workloads: Sequence,
     :class:`repro.api.Session` passes its own so the analytical leg runs
     on the session's caches and pool rather than this function's;
     ``simulator`` likewise substitutes a caller-owned (memo-warm) backend
-    instance for the same ``(arch, energy, seed)``.  Results are
+    instance for the same ``(arch, seed)``.  Results are
     bit-identical either way.
 
     Simulator compatibility is checked *before* the analytical search —
     an incompatible cell (non-RIR arch, workload over the MAC bound)
     fails fast instead of burning a full co-search first.
     """
+    from repro.api.session import default_session
     from repro.layoutloop.cosearch import unique_workloads
-    from repro.search.engine import search_model
+    from repro.search.engine import _search_model_impl
 
     workloads = list(workloads)
     if simulator is None:
-        simulator = SimulatorBackend(arch, energy=energy, seed=seed)
+        simulator = SimulatorBackend(arch, seed=seed)
     for workload, _ in unique_workloads(workloads):
         simulator.check_cell(workload)
     if cost is None:
-        cost = search_model(arch, workloads, model_name=model_name,
-                            metric=metric, max_mappings=max_mappings,
-                            energy=energy, workers=workers, seed=seed,
-                            prune=prune)
+        cost = _search_model_impl(
+            arch, workloads, model_name=model_name, metric=metric,
+            max_mappings=max_mappings,
+            workers=default_session().resolve_workers(workers), seed=seed,
+            prune=prune)
     validation = CrossValidation(arch=arch_label or cost.arch,
                                  model=cost.model, seed=seed)
     for choice, (workload, count) in zip(cost.layer_choices,

@@ -160,8 +160,7 @@ def multifidelity_search(arch: ArchSpec, workloads: Sequence,
     """Multi-fidelity co-search over a whole model (shape-deduplicated).
 
     Shares one analytical cache and one simulator instance across the
-    unique shapes, exactly as :func:`repro.search.engine.search_model`
-    shares its evaluation cache.
+    unique shapes, as the serial engine shares its evaluation cache.
     """
     workloads = list(workloads)
     if not workloads:

@@ -2,7 +2,8 @@
 
 Each module exposes a ``run()`` entry point returning structured results; the
 benchmarks in ``benchmarks/`` call these and print the paper-vs-measured
-comparison, and EXPERIMENTS.md records the outcomes.
+comparison.  The co-search figures (Fig. 10, Fig. 13, the search-stats
+table) run the scenario cells of :mod:`repro.scenarios.ports`.
 """
 
 from repro.experiments import (

@@ -6,13 +6,14 @@ the energy-delay-product objective, reporting per-design normalised latency
 and normalised energy per MAC (both relative to FEATHER), average steady-state
 utilization, the bank-conflict stall share and the off-chip reordering share.
 
-This experiment runs the shared co-search engine
-(:func:`repro.experiments.common.model_costs`) over the same workloads and
-returns the same series.  ``max_mappings`` bounds the pruned-random mapping
-search per layer; the default keeps a full-model run in the tens of seconds
-while preserving the orderings.  ``workers`` fans unique layer shapes out
-across processes (``None`` honours ``REPRO_SEARCH_WORKERS``); results are
-bit-identical for any worker count.
+The charts run as the scenario cells of
+:func:`repro.scenarios.ports.fig13_scenarios` (one cell per workload and
+architecture, executed by :func:`repro.scenarios.run_cell`) and are
+rebuilt from the cell records.  ``max_mappings`` bounds the pruned-random
+mapping search per layer; the default keeps a full-model run in the tens
+of seconds while preserving the orderings.  ``workers`` fans unique layer
+shapes out across processes (``None`` honours ``REPRO_SEARCH_WORKERS``);
+results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,12 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.registry import fig13_arch_suite
-from repro.experiments.common import model_costs
-from repro.layoutloop.cosearch import ModelCost
-from repro.workloads.bert import bert_unique_gemms
-from repro.workloads.mobilenet_v3 import mobilenet_v3_layers
-from repro.workloads.resnet50 import resnet50_layers
+from repro.scenarios import ScenarioRecord, run_cell
+from repro.scenarios.ports import fig13_scenarios
 
 
 @dataclass
@@ -44,55 +41,46 @@ class Fig13Series:
         return list(self.normalized_latency)
 
 
-def _series(workload_name: str, costs: Dict[str, ModelCost],
-            reference: str = "FEATHER") -> Fig13Series:
-    ref = costs[reference]
-    series = Fig13Series(workload=workload_name, reference=reference)
-    for name, cost in costs.items():
-        series.normalized_latency[name] = (
-            cost.total_cycles / ref.total_cycles if ref.total_cycles else 0.0)
-        series.normalized_energy_per_mac[name] = (
-            cost.energy_per_mac_pj / ref.energy_per_mac_pj
-            if ref.energy_per_mac_pj else 0.0)
-        series.utilization[name] = cost.avg_utilization
-        series.stall_fraction[name] = cost.stall_fraction
-        series.reorder_fraction[name] = cost.reorder_fraction
+def series_from_records(workload: str, records: Sequence[ScenarioRecord],
+                        reference: str = "FEATHER") -> Fig13Series:
+    """One workload's chart from its cell records (in suite order)."""
+    ref = next(r for r in records if r.arch == reference).totals
+    series = Fig13Series(workload=workload, reference=reference)
+    for record in records:
+        totals = record.totals
+        series.normalized_latency[record.arch] = (
+            totals["total_cycles"] / ref["total_cycles"]
+            if ref["total_cycles"] else 0.0)
+        series.normalized_energy_per_mac[record.arch] = (
+            totals["energy_per_mac_pj"] / ref["energy_per_mac_pj"]
+            if ref["energy_per_mac_pj"] else 0.0)
+        series.utilization[record.arch] = totals["avg_utilization"]
+        series.stall_fraction[record.arch] = totals["stall_fraction"]
+        series.reorder_fraction[record.arch] = totals["reorder_fraction"]
     return series
 
 
-def workloads_for(name: str, max_layers: Optional[int] = None) -> Sequence:
-    """Layer list for one of the paper's three workloads."""
-    if name == "bert":
-        wls = bert_unique_gemms()
-    elif name == "resnet50":
-        wls = resnet50_layers(include_fc=False)
-    elif name == "mobilenet_v3":
-        wls = mobilenet_v3_layers(include_fc=False)
-    else:
-        raise ValueError(f"unknown workload {name!r}")
-    if max_layers:
-        wls = wls[:max_layers]
-    return wls
-
-
 def run(workload_names: Sequence[str] = ("bert", "resnet50", "mobilenet_v3"),
-        rows: int = 16, cols: int = 16, max_mappings: int = 50,
-        max_layers: Optional[int] = None,
+        max_mappings: int = 50, max_layers: Optional[int] = None,
         workers: Optional[int] = None, seed: int = 0) -> Dict[str, Fig13Series]:
-    """Reproduce Fig. 13's three charts (or a subset of them)."""
-    results: Dict[str, Fig13Series] = {}
-    for name in workload_names:
-        gemm = name == "bert"
-        arches = fig13_arch_suite(rows, cols, gemm=gemm)
-        costs = model_costs(arches, workloads_for(name, max_layers),
-                            model_name=name, max_mappings=max_mappings,
-                            workers=workers, seed=seed)
-        results[name] = _series(name, costs)
-    return results
+    """Reproduce Fig. 13's three charts (or a subset of them).
+
+    ``workload_names`` are workload-set registry names (an unknown name
+    raises :class:`~repro.errors.InvalidRequestError`); ``max_layers``
+    keeps the first layers of each set.
+    """
+    return {
+        name: series_from_records(name, [
+            run_cell(scenario, workers=workers).record
+            for scenario in fig13_scenarios((name,), max_layers=max_layers,
+                                            max_mappings=max_mappings,
+                                            seed=seed)])
+        for name in workload_names}
 
 
-# The paper's reported normalised latency / energy (for EXPERIMENTS.md and the
-# shape checks in tests — keys follow the arch names of ``fig13_arch_suite``).
+# The paper's reported normalised latency / energy (for the benchmark printout
+# and the shape checks in tests — keys follow the arch names of
+# ``fig13_arch_suite``).
 PAPER_LATENCY = {
     "bert": {"NVDLA-like": 2.00, "Eyeriss-like": 1.43, "SIGMA-like (MK_K32)": 1.00,
              "FEATHER": 1.00},

@@ -140,8 +140,8 @@ def motivation_workloads(model: str) -> List[ConvLayerSpec]:
     """The Fig. 2 motivation layers of one model, in chart order.
 
     The same lists back the ``fig2_*_motivation`` workload sets of the
-    scenario matrix, so the scenario-layer port searches exactly the
-    workloads the legacy experiment does.
+    scenario matrix, so the Fig. 2 scenario cells search exactly the
+    workloads this experiment does.
     """
     if model == "resnet50":
         return [layer for key, layer

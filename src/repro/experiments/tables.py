@@ -6,15 +6,16 @@ architecture specs); Table V is the post-PnR area/power of FEATHER at several
 shapes (paper values next to the analytical model's estimate).
 
 :func:`search_stats_table` is reproduction tooling rather than a paper
-table: it runs the shared co-search engine over one workload and reports
-per-architecture engine statistics (evaluations, pruned candidates, cache
-hit rate, wall time) — useful for sizing figure-reproduction runs.
+table: it runs the cells of :func:`repro.scenarios.ports.tables_scenarios`
+(one workload set across the Fig. 13 suite) and reports per-architecture
+engine statistics (evaluations, pruned candidates, cache hit rate, wall
+time) — useful for sizing figure-reproduction runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.area.asic import table_v
 from repro.baselines.registry import (
@@ -22,7 +23,8 @@ from repro.baselines.registry import (
     fig13_arch_suite,
     reorder_support_table,
 )
-from repro.experiments.common import model_costs
+from repro.scenarios import run_cell
+from repro.scenarios.ports import tables_scenarios
 
 
 def table_i() -> List[Dict[str, object]]:
@@ -58,25 +60,30 @@ def table_v_rows() -> List[Dict[str, float]]:
     return table_v()
 
 
-def search_stats_table(workloads: Sequence, model_name: str = "model",
-                       rows: int = 16, cols: int = 16, gemm: bool = False,
+def search_stats_table(workload_set: str = "resnet50", gemm: bool = False,
                        max_mappings: int = 50,
                        workers: Optional[int] = None,
                        seed: int = 0) -> List[Dict[str, object]]:
-    """Engine statistics of a Fig. 13-style co-search, one row per arch."""
-    costs = model_costs(fig13_arch_suite(rows, cols, gemm=gemm), workloads,
-                        model_name=model_name, max_mappings=max_mappings,
-                        workers=workers, seed=seed)
+    """Engine statistics of a Fig. 13-style co-search, one row per arch.
+
+    ``workload_set`` is a workload-set registry name (``"resnet50[:2]"``
+    slices); ``gemm`` selects the GEMM suite.  ``workers`` and
+    ``elapsed_s`` are run metadata; every other column is deterministic.
+    """
     table = []
-    for name, cost in costs.items():
-        stats = cost.search_stats
+    for scenario in tables_scenarios(workload_set, gemm=gemm,
+                                     max_mappings=max_mappings, seed=seed):
+        record = run_cell(scenario, workers=workers).record
+        search = record.search
+        lookups = search["cache_hits"] + search["cache_misses"]
         table.append({
-            "arch": name,
-            "unique_layers": stats.layers_unique,
-            "evaluations": stats.evaluations,
-            "pruned": stats.pruned,
-            "cache_hit_rate": stats.cache.hit_rate,
-            "workers": stats.workers,
-            "elapsed_s": stats.elapsed_s,
+            "arch": record.arch,
+            "unique_layers": search["layers_unique"],
+            "evaluations": search["evaluations"],
+            "pruned": search["pruned"],
+            "cache_hit_rate": (search["cache_hits"] / lookups
+                               if lookups else 0.0),
+            "workers": record.workers,
+            "elapsed_s": record.elapsed_s,
         })
     return table

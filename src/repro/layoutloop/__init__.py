@@ -7,9 +7,6 @@ from repro.layoutloop.mapper import Mapper, SearchResult
 from repro.layoutloop.cosearch import (
     LayerChoice,
     ModelCost,
-    compare_architectures,
-    cosearch_layer,
-    evaluate_model,
     unique_workloads,
 )
 
@@ -26,8 +23,5 @@ __all__ = [
     "SearchResult",
     "LayerChoice",
     "ModelCost",
-    "compare_architectures",
-    "cosearch_layer",
-    "evaluate_model",
     "unique_workloads",
 ]

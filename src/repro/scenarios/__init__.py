@@ -6,7 +6,7 @@ pairs; this package turns that grid into data.  A
 architecture, search config) cell; a
 :class:`~repro.scenarios.spec.ScenarioMatrix` expands cross products into a
 deterministic run plan; :func:`~repro.scenarios.runner.run_matrix` executes
-the plan through :func:`repro.search.engine.search_model` and emits
+the plan through :class:`repro.api.Session` search requests and emits
 per-cell JSON records (:class:`~repro.scenarios.record.ScenarioRecord`)
 plus CSV/markdown summaries, with content-addressed caching so completed
 cells are never recomputed.
@@ -16,7 +16,8 @@ cells are never recomputed.
 * :mod:`repro.scenarios.builtin` ships the built-in matrix (smoke cells,
   the paper-figure ports, the widened coverage sweep, the golden cells).
 * :mod:`repro.scenarios.ports` defines Fig. 2/10/13 and the search-stats
-  table as thin scenarios; tests pin them equal to the legacy experiments.
+  table as scenarios — the one implementation of each figure's co-search,
+  which :mod:`repro.experiments` runs.
 * Every record embeds its RNG seed, the package version and a sha256
   content address, so any record can be re-run bit-identically
   (:func:`~repro.scenarios.runner.rerun_record`) on any worker count.

@@ -6,7 +6,7 @@ Seven groups, combined (deduplicated) by :func:`builtin_matrix`:
   skewed GEMM, depthwise, skewed attention heads, batched conv); the CI
   smoke sweep and the quickstart run these in seconds.
 * **figures** — the paper's co-searches (Fig. 2, Fig. 10, Fig. 13, the
-  search-stats table) at their legacy settings, via
+  search-stats table) at the experiments' default settings, via
   :mod:`repro.scenarios.ports`.
 * **coverage** — the scenario-diversity sweep beyond the paper's grid:
   depthwise/pointwise MobileNet blocks, the skewed BERT-head GEMM sweep
@@ -60,7 +60,7 @@ def smoke_matrix() -> ScenarioMatrix:
 
 
 def figure_matrix() -> ScenarioMatrix:
-    """The paper's co-searches at their legacy settings."""
+    """The paper's co-searches at the experiments' default settings."""
     matrix = ScenarioMatrix(name="figures")
     matrix.extend(fig2_scenarios())
     matrix.add(fig10_scenario())

@@ -1,28 +1,25 @@
-"""The paper's figure/table co-searches as thin scenario definitions.
+"""The paper's figure/table co-searches as scenario definitions.
 
-Each port pairs (a) a function returning the figure's cells as a
-:class:`~repro.scenarios.spec.ScenarioMatrix` with (b) a converter from the
-resulting :class:`~repro.scenarios.record.ScenarioRecord` objects back to
-the figure's native output structures.  The ports use the *same* workload
-sets, architecture suite, metric, mapping budget and seed as the legacy
-``repro.experiments`` modules, and the engine underneath is deterministic,
-so a scenario re-run reproduces the legacy numbers exactly —
-``tests/test_experiments_small.py`` asserts that equality so the port can
-never silently drift.
+Each function returns a figure's cells as a
+:class:`~repro.scenarios.spec.Scenario` or
+:class:`~repro.scenarios.spec.ScenarioMatrix`; these cells are the one
+implementation of each figure's co-search.  The experiment modules
+(:mod:`repro.experiments.fig10`, ``fig13`` and ``tables``) run them with
+:func:`~repro.scenarios.runner.run_cell` and rebuild their native outputs
+from the records, and :func:`~repro.scenarios.builtin.figure_matrix`
+lists them in the built-in matrix.
 
 Only the engine-shaped part of each figure is a scenario (a scenario *is*
 a co-search cell).  Fig. 2's fixed/theory/practice policies and Fig. 10's
 systolic baseline are bespoke evaluations and stay in their experiment
-modules; their FEATHER co-search columns are what the ports cover.
+modules; the Fig. 2 cells cover its FEATHER co-search column.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.baselines.registry import fig13_arch_suite
-from repro.experiments.fig13 import Fig13Series
-from repro.scenarios.record import ScenarioRecord
 from repro.scenarios.spec import (
     Scenario,
     ScenarioMatrix,
@@ -45,19 +42,14 @@ def fig2_scenarios(max_mappings: int = 60, seed: int = 0,
                    ) -> ScenarioMatrix:
     """The FEATHER co-search column of Fig. 2, one cell per model chart.
 
-    Matches the legacy experiment's engine settings (latency objective,
-    ``max_mappings=60``) over the same motivation layers.
+    The engine settings of :func:`repro.experiments.fig2.run` (latency
+    objective, ``max_mappings=60``) over the same motivation layers.
     """
     config = SearchConfig(name=f"latency-{max_mappings}", metric="latency",
                           max_mappings=max_mappings, seed=seed)
     matrix = ScenarioMatrix(name="fig2")
     return matrix.cross([f"fig2_{model}_motivation" for model in models],
                         ["FEATHER"], [config], tags=("fig2", "figure"))
-
-
-def fig2_feather_latencies(record: ScenarioRecord) -> Dict[str, float]:
-    """Per-layer FEATHER latency (cycles), keyed by motivation-layer name."""
-    return {layer.workload: layer.total_cycles for layer in record.layers}
 
 
 # ---------------------------------------------------------------- Fig. 10
@@ -69,12 +61,6 @@ def fig10_scenario(max_mappings: int = 200, seed: int = 0) -> Scenario:
                                            config),
                     workload_set="fig10_gemms", arch="FEATHER-4x4",
                     config=config, tags=("fig10", "figure"))
-
-
-def fig10_feather_utilizations(record: ScenarioRecord) -> Dict[str, float]:
-    """FEATHER practical utilization per Fig. 10 workload."""
-    return {layer.workload: layer.practical_utilization
-            for layer in record.layers}
 
 
 # ---------------------------------------------------------------- Fig. 13
@@ -98,33 +84,6 @@ def fig13_scenarios(
     return matrix
 
 
-def fig13_series_from_records(workload: str,
-                              records: Sequence[ScenarioRecord],
-                              reference: str = "FEATHER") -> Fig13Series:
-    """Rebuild a :class:`Fig13Series` from one workload's cell records.
-
-    ``records`` must be the workload's cells in suite order (as produced by
-    :func:`fig13_scenarios`); normalisation mirrors the legacy
-    ``fig13._series`` arithmetic operation-for-operation so the floats come
-    out bit-identical.
-    """
-    by_arch = {record.arch: record for record in records}
-    ref = by_arch[reference]
-    series = Fig13Series(workload=workload, reference=reference)
-    for record in records:
-        totals = record.totals
-        series.normalized_latency[record.arch] = (
-            totals["total_cycles"] / ref.totals["total_cycles"]
-            if ref.totals["total_cycles"] else 0.0)
-        series.normalized_energy_per_mac[record.arch] = (
-            totals["energy_per_mac_pj"] / ref.totals["energy_per_mac_pj"]
-            if ref.totals["energy_per_mac_pj"] else 0.0)
-        series.utilization[record.arch] = totals["avg_utilization"]
-        series.stall_fraction[record.arch] = totals["stall_fraction"]
-        series.reorder_fraction[record.arch] = totals["reorder_fraction"]
-    return series
-
-
 # ----------------------------------------------------------------- Tables
 def tables_scenarios(workload_set: str = "resnet50", gemm: bool = False,
                      max_mappings: int = 50, seed: int = 0) -> ScenarioMatrix:
@@ -134,56 +93,3 @@ def tables_scenarios(workload_set: str = "resnet50", gemm: bool = False,
     matrix = ScenarioMatrix(name="tables")
     return matrix.cross([workload_set], _suite_names(gemm=gemm), [config],
                         tags=("tables", "figure"))
-
-
-def frontier_rows_from_record(record: ScenarioRecord,
-                              ) -> List[Dict[str, object]]:
-    """Flattened Pareto-frontier rows of a ``frontier=True`` cell record.
-
-    One row per frontier point across every unique shape, in record order:
-    the shape's workload name, the point's mapping/layout names, its four
-    objective values and whether it is the shape's scalar (lexicographic)
-    winner — the tabular view the frontier plots and reports consume.
-    Raises ``ValueError`` on records without frontier payloads so a caller
-    can't silently chart an empty table.
-    """
-    if record.frontiers is None:
-        raise ValueError(
-            f"record {record.scenario!r} carries no frontier payloads "
-            "(re-run the cell with frontier=True)")
-    rows: List[Dict[str, object]] = []
-    for shape in record.frontiers:
-        for index, point in enumerate(shape["points"]):
-            rows.append({
-                "workload": shape["workload"],
-                "mapping": point["mapping"],
-                "layout": point["layout"],
-                "edp": point["edp"],
-                "total_cycles": point["total_cycles"],
-                "total_energy_pj": point["total_energy_pj"],
-                "buffer_footprint_bytes": point["buffer_footprint_bytes"],
-                "is_winner": index == shape["winner_index"],
-            })
-    return rows
-
-
-def search_stats_rows_from_records(records: Sequence[ScenarioRecord],
-                                   ) -> List[Dict[str, object]]:
-    """The deterministic columns of ``tables.search_stats_table``.
-
-    ``workers`` and ``elapsed_s`` are run metadata and deliberately absent;
-    everything here must match the legacy table exactly.
-    """
-    rows = []
-    for record in records:
-        search = record.search
-        lookups = search["cache_hits"] + search["cache_misses"]
-        rows.append({
-            "arch": record.arch,
-            "unique_layers": search["layers_unique"],
-            "evaluations": search["evaluations"],
-            "pruned": search["pruned"],
-            "cache_hit_rate": (search["cache_hits"] / lookups
-                               if lookups else 0.0),
-        })
-    return rows

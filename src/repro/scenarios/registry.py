@@ -107,7 +107,7 @@ def _fig2_motivation(model: str) -> List:
 
 
 def _register_builtin_workload_sets() -> None:
-    # The paper's three Fig. 13 workloads, matching ``fig13.workloads_for``.
+    # The paper's three Fig. 13 workloads (``repro.experiments.fig13``).
     register_workload_set(
         "resnet50", lambda: resnet50_layers(include_fc=False))
     register_workload_set(

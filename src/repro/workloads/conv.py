@@ -66,12 +66,17 @@ class ConvLayerSpec:
     groups: int = field(default=1)
 
     def __post_init__(self) -> None:
-        for attr in ("n", "m", "c", "h", "w", "r", "s", "stride", "groups"):
+        for attr in ("n", "m", "c", "h", "w", "r", "s", "stride", "groups",
+                     "bits"):
             value = getattr(self, attr)
             if value < 1:
                 raise ValueError(f"{attr} must be >= 1, got {value}")
         if self.padding < 0:
             raise ValueError(f"padding must be >= 0, got {self.padding}")
+        if self.p < 1 or self.q < 1:
+            raise ValueError(
+                f"a {self.r}x{self.s} kernel does not fit the padded "
+                f"{self.h}x{self.w} input (output {self.p}x{self.q})")
         if self.kind is LayerKind.DEPTHWISE and self.groups == 1:
             # A depthwise layer is a grouped convolution with one channel per group.
             object.__setattr__(self, "groups", self.c)

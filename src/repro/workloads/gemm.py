@@ -24,7 +24,7 @@ class GemmSpec:
     bits: int = 8
 
     def __post_init__(self) -> None:
-        for attr in ("m", "k", "n"):
+        for attr in ("m", "k", "n", "bits"):
             if getattr(self, attr) < 1:
                 raise ValueError(f"{attr} must be >= 1")
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import SearchRequest, Session
+from repro.api.codec import arch_payload, workload_payload
 from repro.feather.config import FeatherConfig
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
@@ -21,6 +23,20 @@ def pytest_addoption(parser):
 def update_golden(request):
     """True when the run should rewrite the golden files."""
     return request.config.getoption("--update-golden")
+
+
+@pytest.fixture
+def search_cost():
+    """``search_cost(arch, workloads, **request)``: one whole-model search
+    on a private :class:`Session` with a fresh evaluation cache (serial
+    unless ``workers`` is given), returning the live ``ModelCost``."""
+    def run(arch, workloads, **request):
+        request.setdefault("workers", 1)
+        with Session(name="test") as session:
+            return session.run(SearchRequest(
+                workloads=tuple(workload_payload(w) for w in workloads),
+                arch=arch_payload(arch), fresh_cache=True, **request)).cost
+    return run
 
 
 @pytest.fixture

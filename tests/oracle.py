@@ -218,7 +218,8 @@ class ScalarMapper(Mapper):
 def search_model(arch, workloads, model_name: str = "model",
                  batched: bool = False, **config):
     """Whole-model co-search through the engine on a :class:`ScalarMapper`
-    (serial, fresh evaluation cache): the reference of ``search_model``.
+    (serial, fresh evaluation cache): the reference of a serial
+    ``SearchRequest(fresh_cache=True)``.
     ``config`` takes the search settings both accept (``metric``,
     ``max_mappings``, ``seed``, ``prune``, ``policy``, ``budget``,
     ``constraints``)."""

@@ -1,14 +1,14 @@
-"""The ``repro.api`` façade: requests, responses, Session, shims, dedup.
+"""The ``repro.api`` façade: requests, responses, Session, dedup.
 
 Four pillars:
 
 * **JSON round trips** — hypothesis property tests build randomized
   requests (registry and inline forms) and assert
   ``from_json(to_json(r)) == r``; ditto responses.
-* **Shim-vs-façade bit-identity** — the deprecated entry points
-  (``search_model``, ``evaluate_model``, ``compare_architectures``,
-  ``model_costs``) must return exactly what a directly-constructed
-  ``Session`` returns, on all six golden cells.
+* **Engine-vs-façade bit-identity** — the engine function called directly
+  (as the session's offload worker and the test oracle call it) and
+  ``cross_validate_model`` must return exactly what a
+  directly-constructed ``Session`` returns, on every golden cell.
 * **In-flight dedup** — two identical ``submit()`` calls while the first
   is still running share one future, one execution, one response object.
 * **Session semantics** — worker resolution precedence, cross-request
@@ -250,23 +250,25 @@ GOLDEN_CELLS = list(golden_matrix())
 
 
 class TestShimFacadeBitIdentity:
-    """The deprecated entry points == a direct Session, float for float."""
+    """The engine function and ``cross_validate_model`` called directly ==
+    a Session request, float for float."""
 
     @pytest.mark.parametrize("scenario", GOLDEN_CELLS,
                              ids=[s.name for s in GOLDEN_CELLS])
     def test_search_model_shim_matches_facade_on_golden_cell(self, scenario):
-        from repro.search.engine import search_model
+        from repro.backends import create_backend
+        from repro.search.engine import _search_model_impl
 
         workloads = resolve_workload_set(scenario.workload_set)
         arch = resolve_arch(scenario.arch)
         config = scenario.config
         backend = scenario.backend
         if backend == "crossval":
-            # The legacy front of a crossval cell is cross_validate_model;
-            # the façade reaches it via SearchRequest(backend="crossval").
+            # The façade reaches cross_validate_model via
+            # SearchRequest(backend="crossval").
             from repro.backends import cross_validate_model
 
-            shim, validation = cross_validate_model(
+            direct, validation = cross_validate_model(
                 arch, workloads, model_name=scenario.name,
                 metric=config.metric, max_mappings=config.max_mappings,
                 seed=config.seed, prune=config.prune,
@@ -278,70 +280,37 @@ class TestShimFacadeBitIdentity:
                     max_mappings=config.max_mappings, seed=config.seed,
                     prune=config.prune, backend="crossval"))
             assert facade.crossval == validation.as_dict()
-            assert facade.cost.total_cycles == shim.total_cycles
-            assert facade.cost.total_energy_pj == shim.total_energy_pj
+            assert facade.cost.total_cycles == direct.total_cycles
+            assert facade.cost.total_energy_pj == direct.total_energy_pj
             return
-        shim = search_model(arch, workloads, model_name=scenario.name,
-                            metric=config.metric,
-                            max_mappings=config.max_mappings,
-                            seed=config.seed, prune=config.prune,
-                            backend=backend)
+        direct = _search_model_impl(
+            arch, workloads, model_name=scenario.name, metric=config.metric,
+            max_mappings=config.max_mappings, seed=config.seed,
+            prune=config.prune, policy=config.policy, budget=config.budget,
+            frontier=config.frontier, fused=config.fused,
+            backend=(backend if backend == "analytical" else
+                     create_backend(backend, arch, seed=config.seed)))
         with Session(name="facade") as session:
             facade = session.run(SearchRequest(
                 workloads=scenario.workload_set, arch=scenario.arch,
                 model=scenario.name, metric=config.metric,
                 max_mappings=config.max_mappings, seed=config.seed,
-                prune=config.prune, backend=backend))
-        assert facade.cost.total_cycles == shim.total_cycles
-        assert facade.cost.total_energy_pj == shim.total_energy_pj
-        assert facade.totals["edp"] == shim.edp
-        for shim_choice, facade_layer in zip(shim.layer_choices,
-                                             facade.layers):
-            report = shim_choice.result.best_report
-            assert facade_layer["mapping"] == shim_choice.result.best_mapping.name
-            assert facade_layer["layout"] == shim_choice.result.best_layout.name
+                prune=config.prune, policy=config.policy,
+                budget=config.budget, frontier=config.frontier,
+                fused=config.fused, backend=backend))
+        assert facade.cost.total_cycles == direct.total_cycles
+        assert facade.cost.total_energy_pj == direct.total_energy_pj
+        assert facade.totals["edp"] == direct.edp
+        assert facade.search["evaluations"] == direct.search_stats.evaluations
+        assert facade.search["pruned"] == direct.search_stats.pruned
+        for direct_choice, facade_layer in zip(direct.layer_choices,
+                                               facade.layers):
+            result = direct_choice.result
+            report = result.best_report
+            assert facade_layer["mapping"] == result.best_mapping.name
+            assert facade_layer["layout"] == result.best_layout.name
             assert facade_layer["total_cycles"] == report.total_cycles
             assert facade_layer["total_energy_pj"] == report.total_energy_pj
-
-    def test_evaluate_model_and_compare_architectures_match_facade(self):
-        from repro.layoutloop.cosearch import (
-            compare_architectures,
-            evaluate_model,
-        )
-
-        workloads = resolve_workload_set("resnet50[:3]")
-        arches = [resolve_arch("FEATHER"), resolve_arch("Eyeriss-like")]
-        with Session(name="facade") as session:
-            for arch in arches:
-                shim = evaluate_model(arch, workloads, model_name="m",
-                                      max_mappings=10)
-                facade = session.run(SearchRequest(
-                    workloads="resnet50[:3]", arch=arch_payload(arch),
-                    model="m", max_mappings=10, fresh_cache=True))
-                assert facade.cost.total_cycles == shim.total_cycles
-                assert facade.cost.total_energy_pj == shim.total_energy_pj
-            compared = compare_architectures(arches, workloads,
-                                             model_name="m", max_mappings=10)
-            for arch in arches:
-                facade = session.run(SearchRequest(
-                    workloads="resnet50[:3]", arch=arch_payload(arch),
-                    model="m", max_mappings=10))
-                assert (facade.cost.total_cycles
-                        == compared[arch.name].total_cycles)
-
-    def test_model_costs_matches_facade(self):
-        from repro.experiments.common import model_costs
-
-        workloads = resolve_workload_set("fig10_gemms")
-        arch = resolve_arch("FEATHER-4x4")
-        costs = model_costs([arch], workloads, model_name="m",
-                            metric="latency", max_mappings=8)
-        with Session(name="facade") as session:
-            facade = session.run(SearchRequest(
-                workloads="fig10_gemms", arch=arch_payload(arch), model="m",
-                metric="latency", max_mappings=8))
-        assert facade.cost.total_cycles == costs[arch.name].total_cycles
-        assert facade.cost.edp == costs[arch.name].edp
 
 
 class TestSessionSemantics:
@@ -412,6 +381,21 @@ class TestSessionSemantics:
             for layout in ("MK_K32", "KM_M4K8"):
                 session.run(EvalRequest(workload="fig10_gemms#0",
                                         arch="FEATHER", layout=layout))
+
+    def test_search_layout_restriction_must_fit_every_workload(self):
+        with Session(name="t") as session:
+            for workloads, layouts in (("resnet50[:1]", ["MK_K32"]),
+                                       ("fig10_gemms", ["HWC_C32"]),
+                                       ("resnet50[:2]", ["HWC_C32", "MK_K32"])):
+                with pytest.raises(InvalidRequestError, match="layout"):
+                    session.run(SearchRequest(workloads=workloads,
+                                              arch="FEATHER",
+                                              layouts=layouts,
+                                              max_mappings=4))
+            fitting = session.run(SearchRequest(
+                workloads="resnet50[:1]", arch="FEATHER",
+                layouts=["HWC_C32"], max_mappings=4))
+        assert fitting.layers[0]["layout"] == "HWC_C32"
 
     def test_eval_request_matches_backend_directly(self):
         from repro.backends import create_backend

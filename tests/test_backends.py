@@ -35,7 +35,6 @@ from repro.layout.layout import parse_layout
 from repro.layoutloop.arch import feather_arch
 from repro.layoutloop.cost_model import CostModel
 from repro.layoutloop.mapper import Mapper
-from repro.search.engine import SearchEngine, search_model
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
 from repro.workloads.micro import (
@@ -92,11 +91,12 @@ class TestAnalyticalBackend:
         assert via_backend.total_energy_pj == direct.total_energy_pj
         assert via_backend.edp == direct.edp
 
-    def test_search_model_backend_analytical_is_default_path(self):
+    def test_search_model_backend_analytical_is_default_path(self,
+                                                              search_cost):
         layers = micro_conv_layers()
-        default = search_model(ARCH44, layers, max_mappings=6)
-        explicit = search_model(ARCH44, layers, max_mappings=6,
-                                backend="analytical")
+        default = search_cost(ARCH44, layers, max_mappings=6)
+        explicit = search_cost(ARCH44, layers, max_mappings=6,
+                               backend="analytical")
         assert default.total_cycles == explicit.total_cycles
         assert default.total_energy_pj == explicit.total_energy_pj
         assert default.search_stats.backend == "analytical"
@@ -200,8 +200,7 @@ class TestRirClaimMachineChecked:
     ])
     def test_cosearched_pair_is_conflict_free_in_simulation(self, workload,
                                                            arch):
-        engine = SearchEngine(arch, max_mappings=8, seed=0)
-        result = engine.search_layer(workload)
+        result = Mapper(arch, max_mappings=8, seed=0).search(workload)
         # Analytical side: RIR co-switching means max(lines/ports, 1)
         # never binds — the model prices the winner stall-free.
         assert result.best_report.slowdown == 1.0
@@ -270,23 +269,24 @@ class TestSearchOnSimulator:
         assert result.pruned == 0  # bounds are analytical-only
         assert result.best_report.total_cycles > 0
 
-    def test_search_model_on_simulator_forces_serial(self):
-        cost = search_model(ARCH44, micro_gemm_layers(), metric="latency",
-                            max_mappings=4, workers=4, backend="simulator")
+    def test_search_model_on_simulator_forces_serial(self, search_cost):
+        cost = search_cost(ARCH44, micro_gemm_layers(), metric="latency",
+                           max_mappings=4, workers=4, backend="simulator")
         assert cost.search_stats.workers == 1
         assert cost.search_stats.backend == "simulator"
         assert cost.total_cycles > 0
 
-    def test_simulator_search_picks_conflict_free_layout(self):
-        cost = search_model(ARCH44, micro_gemm_layers(), metric="latency",
-                            max_mappings=4, backend="simulator")
+    def test_simulator_search_picks_conflict_free_layout(self, search_cost):
+        cost = search_cost(ARCH44, micro_gemm_layers(), metric="latency",
+                           max_mappings=4, backend="simulator")
         for choice in cost.layer_choices:
             assert choice.result.best_report.slowdown == 1.0
 
 
 # ------------------------------------------------------- multi-fidelity
 class TestMultiFidelity:
-    def test_agrees_with_pure_analytical_on_golden_micro_cells(self):
+    def test_agrees_with_pure_analytical_on_golden_micro_cells(
+            self, search_cost):
         """Acceptance: multi-fidelity returns the analytical winners on the
         golden micro-cells, each carrying simulator-verified top-k."""
         cases = [
@@ -294,8 +294,8 @@ class TestMultiFidelity:
             ("micro_gemms", micro_gemm_layers(), "latency", 6),
         ]
         for name, layers, metric, budget in cases:
-            analytical = search_model(ARCH44, layers, model_name=name,
-                                      metric=metric, max_mappings=budget)
+            analytical = search_cost(ARCH44, layers, model=name,
+                                     metric=metric, max_mappings=budget)
             multi = multifidelity_search(ARCH44, layers, model_name=name,
                                          metric=metric, max_mappings=budget,
                                          top_k=3)
@@ -348,12 +348,12 @@ class TestCrossValidation:
         assert validation.max_abs_cycle_delta == max(
             abs(c.cycle_delta) for c in validation.cells)
 
-    def test_analytical_side_matches_plain_search(self):
+    def test_analytical_side_matches_plain_search(self, search_cost):
         layers = micro_gemm_layers()
         cost, _ = cross_validate_model(ARCH44, layers, model_name="micro",
                                        metric="latency", max_mappings=6)
-        plain = search_model(ARCH44, layers, model_name="micro",
-                             metric="latency", max_mappings=6)
+        plain = search_cost(ARCH44, layers, model="micro",
+                            metric="latency", max_mappings=6)
         assert cost.total_cycles == plain.total_cycles
         assert cost.total_energy_pj == plain.total_energy_pj
 

@@ -119,5 +119,5 @@ class TestFig13:
             assert all(v >= 1.0 for v in table.values())
 
     def test_unknown_workload_raises(self):
-        with pytest.raises(ValueError):
-            fig13.workloads_for("alexnet")
+        with pytest.raises(ValueError, match="alexnet"):
+            fig13.run(workload_names=("alexnet",), max_mappings=4)

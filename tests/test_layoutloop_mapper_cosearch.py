@@ -1,15 +1,11 @@
-"""Tests for the mapper (dataflow/layout search) and the whole-model co-search."""
+"""Tests for the mapper (dataflow/layout search) and the whole-model co-search
+(run as a session search request, like every caller runs it)."""
 
 import pytest
 
 from repro.baselines.registry import eyeriss_like, nvdla_like, sigma_like
 from repro.layoutloop.arch import feather_arch
-from repro.layoutloop.cosearch import (
-    cosearch_layer,
-    compare_architectures,
-    evaluate_model,
-    unique_workloads,
-)
+from repro.layoutloop.cosearch import unique_workloads
 from repro.layoutloop.mapper import Mapper
 from repro.workloads.conv import ConvLayerSpec
 from repro.workloads.gemm import GemmSpec
@@ -102,38 +98,35 @@ class TestUniqueWorkloads:
 
 class TestCosearchAndModelEvaluation:
     def test_cosearch_layer(self):
-        result = cosearch_layer(feather_arch(), LAYER, max_mappings=40)
+        result = Mapper(feather_arch(), max_mappings=40).search(LAYER)
         assert result.best_layout is not None
         assert result.best_report.slowdown == 1.0
 
-    def test_evaluate_model_aggregates(self):
+    def test_evaluate_model_aggregates(self, search_cost):
         layers = [LAYER, LAYER, SMALL_C_LAYER]
-        cost = evaluate_model(feather_arch(), layers, model_name="toy",
-                              max_mappings=30)
+        cost = search_cost(feather_arch(), layers, model="toy",
+                           max_mappings=30)
         assert cost.total_macs == sum(l.macs for l in layers)
         assert cost.total_cycles > 0
         assert 0 < cost.avg_utilization <= 1.0
 
-    def test_evaluate_model_dedup_weighting(self):
-        once = evaluate_model(feather_arch(), [LAYER], max_mappings=30)
-        twice = evaluate_model(feather_arch(), [LAYER, LAYER], max_mappings=30)
+    def test_evaluate_model_dedup_weighting(self, search_cost):
+        once = search_cost(feather_arch(), [LAYER], max_mappings=30)
+        twice = search_cost(feather_arch(), [LAYER, LAYER], max_mappings=30)
         assert twice.total_cycles == pytest.approx(2 * once.total_cycles)
 
-    def test_compare_architectures_keys(self):
-        arches = [nvdla_like(), feather_arch()]
-        costs = compare_architectures(arches, [LAYER, SMALL_C_LAYER], max_mappings=30)
-        assert set(costs) == {"NVDLA-like", "FEATHER"}
-
-    def test_feather_best_edp_among_suite(self):
+    def test_feather_best_edp_among_suite(self, search_cost):
         arches = [nvdla_like(), eyeriss_like(), sigma_like(layout="HWC_C32"),
                   feather_arch()]
-        costs = compare_architectures(arches, [SMALL_C_LAYER, LAYER], max_mappings=40)
+        costs = {arch.name: search_cost(arch, [SMALL_C_LAYER, LAYER],
+                                        max_mappings=40)
+                 for arch in arches}
         feather_edp = costs["FEATHER"].edp
         for name, cost in costs.items():
             assert feather_edp <= cost.edp * 1.001, f"{name} beat FEATHER on EDP"
 
-    def test_model_cost_properties(self):
-        cost = evaluate_model(feather_arch(), [LAYER], max_mappings=30)
+    def test_model_cost_properties(self, search_cost):
+        cost = search_cost(feather_arch(), [LAYER], max_mappings=30)
         assert cost.energy_per_mac_pj > 0
         assert cost.geomean_cycles() > 0
         assert cost.geomean_energy_per_mac() > 0

@@ -1,7 +1,11 @@
 """Repository contracts that no single module owns.
 
 * every ``tools/bench_guard.py --gates`` choice is run by CI — a gate the
-  docs describe but CI never runs guards nothing;
+  docs describe but CI never runs guards nothing — and so is every
+  ``examples/*.py`` script;
+* every co-search goes through ``Session`` → the engine function →
+  ``Mapper``: the former fronts (``search_model``, ``SearchEngine``,
+  ``evaluate_model``, ``model_costs``, ...) stay deleted;
 * the package version has one source, ``repro.__version__``;
 * ``docs/schemas/`` holds the current wire version's schemas and nothing
   else;
@@ -11,6 +15,8 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import importlib.util
 import re
 import shlex
@@ -52,6 +58,56 @@ def test_every_bench_guard_gate_runs_in_ci():
     assert set(guard.DEFAULT_GATES) <= set(guard.GATES)
     missing = set(guard.GATES) - _ci_gates(guard.DEFAULT_GATES)
     assert not missing, f"bench_guard gates never run in CI: {sorted(missing)}"
+
+
+def test_every_example_runs_in_ci():
+    """An example CI never runs can keep importing a deleted front."""
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    commands = [line for line in workflow.splitlines()
+                if not line.strip().startswith(("- name:", "name:", "#"))]
+    ran = set()
+    for pattern in re.findall(r"examples/([\w*]+\.py)", "\n".join(commands)):
+        ran.update(p.name for p in (ROOT / "examples").glob(pattern))
+    examples = {p.name for p in (ROOT / "examples").glob("*.py")}
+    assert examples, "no examples found"
+    missing = examples - ran
+    assert not missing, f"examples never run in CI: {sorted(missing)}"
+
+
+_REMOVED_FRONTS = {
+    "repro.search": ("search_model", "search_models", "SearchEngine"),
+    "repro.search.engine": ("search_model", "search_models", "SearchEngine"),
+    "repro.layoutloop": ("evaluate_model", "compare_architectures",
+                         "cosearch_layer"),
+    "repro.layoutloop.cosearch": ("evaluate_model", "compare_architectures",
+                                  "cosearch_layer"),
+    "repro.experiments.common": ("model_costs",),
+    "repro.experiments.fig13": ("workloads_for",),
+}
+
+
+def test_the_former_co_search_fronts_stay_deleted():
+    for module_name, names in _REMOVED_FRONTS.items():
+        module = importlib.import_module(module_name)
+        present = [name for name in names if hasattr(module, name)]
+        assert not present, f"{module_name} still exports {present}"
+
+
+def _string_statements(path: Path):
+    """Every bare string statement of a module: module, class and
+    function docstrings and attribute docstrings."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)):
+            yield node.lineno, node.value.value
+
+
+def test_no_docstring_points_at_a_deprecated_front():
+    stale = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+             for line, text in _string_statements(path)
+             if re.search(r"deprecat|shim", text, re.IGNORECASE)]
+    assert not stale, f"docstrings naming deprecated fronts: {stale}"
 
 
 def test_version_has_one_source():

@@ -1,6 +1,10 @@
 """Tests for the parallel, cached co-search engine (``repro.search``).
 
-Covers the acceptance properties of the engine:
+Whole-model searches run the way every caller runs them — a
+:class:`~repro.api.SearchRequest` on a :class:`~repro.api.Session`, which
+calls the engine function (:func:`repro.search.engine._search_model_impl`)
+— or call the engine function directly.  Covers the acceptance properties
+of the engine:
 
 * parallel results are bit-identical to serial results (ResNet-50 conv
   layers and the BERT GEMM set),
@@ -16,14 +20,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.api import SearchRequest, Session
+from repro.api.codec import arch_payload, workload_payload
 from repro.baselines.registry import eyeriss_like, nvdla_like
+from repro.errors import InvalidRequestError
 from repro.layoutloop.arch import feather_arch
-from repro.layoutloop.cosearch import (
-    LayerChoice,
-    ModelCost,
-    compare_architectures,
-    evaluate_model,
-)
+from repro.layoutloop.cosearch import LayerChoice, ModelCost
 from repro.layoutloop.cost_model import CostReport
 from repro.layoutloop.mapper import Mapper, SearchResult, _metric_value
 from repro.search import (
@@ -35,7 +37,7 @@ from repro.search import (
     resolve_workers,
     workload_signature,
 )
-from repro.search.engine import SearchEngine, search_model, search_models
+from repro.search.engine import _search_model_impl
 from repro.search.parallel import WORKERS_ENV_VAR, chunked, default_chunk_size
 from repro.workloads.bert import bert_unique_gemms
 from repro.workloads.conv import ConvLayerSpec
@@ -81,8 +83,8 @@ class TestEvaluationCache:
         assert mapper.evaluation_cache.stats.hits == second.evaluated
         assert second.best_value == first.best_value
 
-    def test_lookups_equal_scored_candidates(self):
-        cost = search_model(feather_arch(), [LAYER, SMALL], max_mappings=20)
+    def test_lookups_equal_scored_candidates(self, search_cost):
+        cost = search_cost(feather_arch(), [LAYER, SMALL], max_mappings=20)
         stats = cost.search_stats
         assert stats.cache.lookups == stats.evaluations
 
@@ -110,20 +112,37 @@ class TestEvaluationCache:
         assert second.best_report.workload == "other_name"
 
     def test_shared_cache_across_engine_batches(self):
-        cache = EvaluationCache()
-        engine = SearchEngine(feather_arch(), max_mappings=15, cache=cache)
-        engine.search_model([LAYER], model_name="a")
-        second = engine.search_model([RENAMED], model_name="b")
-        assert second.search_stats.cache.hits > 0
+        # Requests on one session share its evaluation cache: RENAMED is
+        # LAYER's shape under another name, so it misses the mapper memo
+        # and hits the cache.
+        arch = arch_payload(feather_arch())
+        with Session(name="test") as session:
+            session.run(SearchRequest(workloads=(workload_payload(LAYER),),
+                                      arch=arch, model="a", max_mappings=15,
+                                      workers=1))
+            second = session.run(SearchRequest(
+                workloads=(workload_payload(RENAMED),), arch=arch,
+                model="b", max_mappings=15, workers=1))
+        assert second.cost.search_stats.cache.hits > 0
 
     def test_batch_results_adopted_into_engine(self):
-        # After a batch (even a parallel one, whose workers cannot share the
-        # in-process cache), per-shape results land in the engine's result
-        # cache so follow-up per-layer searches are free.
-        engine = SearchEngine(feather_arch(), max_mappings=10)
-        batch = engine.search_model([LAYER, SMALL], workers=2, chunk_size=1)
-        followup = engine.search_layer(LAYER)
-        assert followup is batch.layer_choices[0].result
+        # A search run whole in a worker process (the session's offload),
+        # which cannot share the in-process caches, still lands its
+        # per-shape results in the session's mapper memo: a follow-up
+        # request over the same layers is served from it, no lookups.
+        request = dict(workloads=(workload_payload(LAYER),
+                                  workload_payload(SMALL)),
+                       arch=arch_payload(feather_arch()), max_mappings=10,
+                       workers=1)
+        with Session(name="test", threads=2, offload=True) as session:
+            first = session.run(SearchRequest(model="a", **request))
+            again = session.run(SearchRequest(model="b", **request))
+            assert session.describe()["offload"]
+        assert first.search["cache_misses"] > 0
+        assert again.search["cache_hits"] == again.search["cache_misses"] == 0
+        for ran, memo in zip(first.cost.layer_choices,
+                             again.cost.layer_choices):
+            assert memo.result is ran.result
 
 
 class TestBounds:
@@ -195,27 +214,31 @@ class TestParallelDeterminism:
             assert ps.result.best_layout.name == ss.result.best_layout.name
             assert ps.result.best_report == ss.result.best_report
 
-    def test_resnet50_parallel_bit_identical(self):
+    def test_resnet50_parallel_bit_identical(self, search_cost):
         layers = resnet50_layers(include_fc=False)[:14]
-        serial = search_model(feather_arch(), layers, model_name="rn50",
-                              max_mappings=10, workers=1)
-        parallel = search_model(feather_arch(), layers, model_name="rn50",
-                                max_mappings=10, workers=2)
+        serial = search_cost(feather_arch(), layers, model="rn50",
+                             max_mappings=10, workers=1)
+        parallel = search_cost(feather_arch(), layers, model="rn50",
+                               max_mappings=10, workers=2)
         self._assert_identical(serial, parallel)
         assert parallel.search_stats.workers == 2
         assert serial.search_stats.workers == 1
 
-    def test_bert_parallel_bit_identical(self):
+    def test_bert_parallel_bit_identical(self, search_cost):
         gemms = bert_unique_gemms()
-        serial = search_model(feather_arch(), gemms, model_name="bert",
-                              max_mappings=8, workers=1)
-        parallel = search_model(feather_arch(), gemms, model_name="bert",
-                                max_mappings=8, workers=3, chunk_size=2)
+        # Three workers over more unique shapes than workers: the fan-out
+        # splits them into several chunks.
+        assert default_chunk_size(len(gemms), 3) < len(gemms)
+        serial = search_cost(feather_arch(), gemms, model="bert",
+                             max_mappings=8, workers=1)
+        parallel = search_cost(feather_arch(), gemms, model="bert",
+                               max_mappings=8, workers=3)
         self._assert_identical(serial, parallel)
 
-    def test_search_models_multi_arch(self):
-        costs = search_models([nvdla_like(), feather_arch()], [LAYER, SMALL],
-                              model_name="toy", max_mappings=10)
+    def test_search_models_multi_arch(self, search_cost):
+        costs = {arch.name: search_cost(arch, [LAYER, SMALL], model="toy",
+                                        max_mappings=10)
+                 for arch in (nvdla_like(), feather_arch())}
         assert set(costs) == {"NVDLA-like", "FEATHER"}
         for cost in costs.values():
             assert cost.search_stats is not None
@@ -223,39 +246,51 @@ class TestParallelDeterminism:
 
 
 class TestSearchModelAPI:
-    def test_dedup_accounting(self):
-        cost = search_model(feather_arch(), [LAYER, RENAMED, SMALL, LAYER],
-                            max_mappings=10)
+    def test_dedup_accounting(self, search_cost):
+        cost = search_cost(feather_arch(), [LAYER, RENAMED, SMALL, LAYER],
+                           max_mappings=10)
         stats = cost.search_stats
         assert stats.layers_total == 4
         assert stats.layers_unique == 2
         assert cost.total_macs == 3 * LAYER.macs + SMALL.macs
 
-    def test_matches_legacy_evaluate_model(self):
+    def test_matches_legacy_evaluate_model(self, search_cost):
+        # A caller-owned mapper (what a session passes per configuration)
+        # gives the same totals as the fresh per-call path.
         layers = [LAYER, SMALL]
-        legacy = evaluate_model(feather_arch(), layers,
-                                mapper=Mapper(feather_arch(), max_mappings=10))
-        engine = search_model(feather_arch(), layers, max_mappings=10)
-        assert engine.total_cycles == legacy.total_cycles
-        assert engine.total_energy_pj == legacy.total_energy_pj
+        owned = _search_model_impl(feather_arch(), layers, max_mappings=10,
+                                   mapper=Mapper(feather_arch(),
+                                                 max_mappings=10))
+        fresh = search_cost(feather_arch(), layers, max_mappings=10)
+        assert fresh.total_cycles == owned.total_cycles
+        assert fresh.total_energy_pj == owned.total_energy_pj
 
     def test_empty_model_raises(self):
-        with pytest.raises(ValueError):
-            search_model(feather_arch(), [])
-        with pytest.raises(ValueError):
-            evaluate_model(feather_arch(), [])
-        with pytest.raises(ValueError):
-            compare_architectures([feather_arch()], [])
+        with pytest.raises(InvalidRequestError,
+                           match="requires at least one workload"):
+            _search_model_impl(feather_arch(), [])
+        with Session(name="test") as session:
+            with pytest.raises(InvalidRequestError,
+                               match="requires at least one workload"
+                               ) as info:
+                session.run(SearchRequest(workloads="resnet50[:0]",
+                                          arch="FEATHER"))
+        assert "search_model" not in str(info.value)
 
-    def test_stats_str_mentions_model(self):
-        cost = search_model(feather_arch(), [SMALL], model_name="tiny",
-                            max_mappings=8)
+    def test_stats_str_mentions_model(self, search_cost):
+        cost = search_cost(feather_arch(), [SMALL], model="tiny",
+                           max_mappings=8)
         assert "tiny" in str(cost.search_stats)
 
-    def test_workers_env_var(self, monkeypatch):
+    def test_workers_env_var(self, monkeypatch, search_cost):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
         assert resolve_workers(None) == 3
         assert resolve_workers(2) == 2
+        # A request that leaves workers unset fans out as the variable says.
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        cost = search_cost(feather_arch(), [LAYER, SMALL], max_mappings=8,
+                           workers=None)
+        assert cost.search_stats.workers == 2
         monkeypatch.setenv(WORKERS_ENV_VAR, "zebra")
         with pytest.raises(ValueError):
             resolve_workers(None)

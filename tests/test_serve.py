@@ -120,6 +120,10 @@ def test_sweep_over_http_equals_direct_session_run(service):
     assert [r["scenario"] for r in served["records"]] == ["golden-fig10-gemms"]
 
 
+_DEGENERATE_CONV = {"type": "conv", "name": "d", "m": 4, "c": 4, "h": 2,
+                    "w": 4, "r": 5}
+
+
 def test_error_codes_are_stable(service):
     base, _ = service
     cases = [
@@ -150,6 +154,20 @@ def test_error_codes_are_stable(service):
                       "layout": "garbage"}, 400, "invalid_request"),
         ("/v1/eval", {"workload": "fig10_gemms#0", "arch": "FEATHER",
                       "layout": "HWC_C32"}, 400, "invalid_request"),
+        # A GEMM layout restricting a conv layer's search.
+        ("/v1/search", {"workloads": "resnet50[:1]", "arch": "FEATHER",
+                        "layouts": ["MK_K32"]}, 400, "invalid_request"),
+        ("/v1/search", {"workloads": "resnet50[:0]", "arch": "FEATHER"},
+         400, "invalid_request"),
+        # A 5-tall kernel on a 2-tall unpadded input (P = -2), and a
+        # zero-bit operand width.
+        ("/v1/search", {"workloads": [_DEGENERATE_CONV], "arch": "FEATHER"},
+         400, "invalid_request"),
+        ("/v1/eval", {"workload": _DEGENERATE_CONV, "arch": "FEATHER",
+                      "layout": "HWC_C32"}, 400, "invalid_request"),
+        ("/v1/search", {"workloads": [{"type": "gemm", "name": "g", "m": 4,
+                                       "k": 4, "n": 4, "bits": 0}],
+                        "arch": "FEATHER"}, 400, "invalid_request"),
         ("/v1/nope", {}, 404, "not_found"),
     ]
     for path, body, expected_status, expected_code in cases:

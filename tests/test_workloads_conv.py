@@ -64,6 +64,20 @@ class TestConvLayerSpec:
         with pytest.raises(ValueError):
             ConvLayerSpec("l", m=1, c=1, h=5, w=5, padding=-1)
 
+    def test_kernel_larger_than_padded_input_raises(self):
+        # P = (2 - 5) // 1 + 1 = -2: no output rows to compute.
+        with pytest.raises(ValueError, match="does not fit"):
+            ConvLayerSpec("l", m=4, c=4, h=2, w=4, r=5)
+        with pytest.raises(ValueError, match="does not fit"):
+            ConvLayerSpec("l", m=4, c=4, h=4, w=2, s=3)
+        # Padding that makes the kernel fit, and an exact fit, are fine.
+        assert ConvLayerSpec("l", h=2, w=2, r=5, s=5, padding=2).p == 2
+        assert ConvLayerSpec("l", h=3, w=3, r=3, s=3).q == 1
+
+    def test_zero_bit_operands_raise(self):
+        with pytest.raises(ValueError, match="bits"):
+            ConvLayerSpec("l", m=4, c=4, h=4, w=4, bits=0)
+
     def test_depthwise_groups_default_to_channels(self):
         layer = ConvLayerSpec("dw", m=16, c=16, h=8, w=8, r=3, s=3, padding=1,
                               kind=LayerKind.DEPTHWISE)

@@ -27,6 +27,8 @@ class TestGemmSpec:
     def test_invalid_shape(self):
         with pytest.raises(ValueError):
             GemmSpec("g", m=0, k=5, n=6)
+        with pytest.raises(ValueError, match="bits"):
+            GemmSpec("g", m=4, k=5, n=6, bits=0)
 
     def test_as_conv_preserves_macs(self):
         g = GemmSpec("g", m=4, k=5, n=6)

@@ -7,12 +7,14 @@ when a fast path is not measurably faster than its reference:
 * **kernel** — raw cost-model evaluations (every unique conv shape x sampled
   mappings x the conv layout library) on SIGMA with off-chip reordering,
   where the batched concordance analysis carries the load;
-* **cosearch** — the whole deduplicated ``search_model`` co-search on
-  FEATHER at ``workers=1``, the scalar test oracle (``tests/oracle.py``)
-  vs the production path;
-* **api** — repeat traffic on a warm :class:`repro.api.Session` vs the
-  per-call ``search_model`` shim (the session's shared evaluation cache
-  and persistent per-configuration mappers carry the load).
+* **cosearch** — the whole deduplicated ResNet-50 co-search on FEATHER
+  at ``workers=1``, the scalar test oracle (``tests/oracle.py``) vs the
+  production path (a per-call ``SearchRequest(fresh_cache=True)`` on a
+  :class:`repro.api.Session`);
+* **api** — repeat traffic on a warm :class:`repro.api.Session` vs
+  per-call searches on a fresh evaluation cache (the session's shared
+  evaluation cache and persistent per-configuration mappers carry the
+  load).
 
 All comparisons also verify the results are identical — a fast wrong path
 still fails the guard.  Thresholds are deliberately below the locally
@@ -136,16 +138,18 @@ def cosearch_speedup(rounds: int) -> float:
     with bulk bounds would make this gate measure only the evaluation
     batching remainder instead of the fast path against its scalar oracle.
     """
+    from repro.api import SearchRequest, Session
     from repro.layoutloop.arch import feather_arch
-    from repro.search.engine import search_model
     from repro.workloads.resnet50 import resnet50_layers
 
     layers = resnet50_layers(include_fc=False)
     scalar_s, scalar = best_of(
         lambda: oracle.search_model(feather_arch(), layers, max_mappings=24),
         rounds)
-    vector_s, vector = best_of(
-        lambda: search_model(feather_arch(), layers, max_mappings=24), rounds)
+    request = SearchRequest(workloads="resnet50", arch="FEATHER",
+                            max_mappings=24, workers=1, fresh_cache=True)
+    with Session(name="bench-guard-cosearch") as session:
+        vector_s, vector = best_of(lambda: session.run(request).cost, rounds)
     if (vector.total_cycles != scalar.total_cycles
             or vector.total_energy_pj != scalar.total_energy_pj):
         print("FAIL: vectorized co-search totals differ from the scalar oracle")
@@ -157,22 +161,21 @@ def cosearch_speedup(rounds: int) -> float:
 
 
 def api_speedup(rounds: int) -> float:
-    """Warm-:class:`Session` throughput vs per-call ``search_model``.
+    """Warm-:class:`Session` throughput vs per-call searches.
 
     Both run the deduplicated ResNet-50 co-search on FEATHER.  The
-    per-call shim rebuilds its evaluation cache every call (legacy
-    semantics); the session request reuses the session's shared cache, so
+    per-call search (``fresh_cache=True``) rebuilds its evaluation cache
+    every call; the session request reuses the session's shared cache, so
     repeat traffic must be measurably faster — and bit-identical.
     """
     from repro.api import SearchRequest, Session
-    from repro.layoutloop.arch import feather_arch
-    from repro.search.engine import search_model
-    from repro.workloads.resnet50 import resnet50_layers
 
-    layers = resnet50_layers(include_fc=False)
-    percall_s, percall = best_of(
-        lambda: search_model(feather_arch(), layers, model_name="resnet50",
-                             max_mappings=24), rounds)
+    percall_request = SearchRequest(workloads="resnet50", arch="FEATHER",
+                                    model="resnet50", max_mappings=24,
+                                    workers=1, fresh_cache=True)
+    with Session(name="bench-guard-per-call") as session:
+        percall_s, percall = best_of(
+            lambda: session.run(percall_request).cost, rounds)
     with Session(name="bench-guard") as session:
         request = SearchRequest(workloads="resnet50", arch="FEATHER",
                                 model="resnet50", max_mappings=24)
@@ -180,7 +183,7 @@ def api_speedup(rounds: int) -> float:
         warm_s, warm = best_of(lambda: session.run(request), rounds)
     if (warm.totals["total_cycles"] != percall.total_cycles
             or warm.totals["total_energy_pj"] != percall.total_energy_pj):
-        print("FAIL: warm-session totals differ from the per-call shim")
+        print("FAIL: warm-session totals differ from the per-call search")
         sys.exit(1)
     print(f"api      : per-call {percall_s:.3f}s  warm session {warm_s:.3f}s  "
           f"speedup {percall_s / warm_s:.2f}x "
@@ -592,7 +595,7 @@ def main(argv=None) -> int:
     parser.add_argument("--min-kernel-speedup", type=float, default=3.0,
                         help="minimum scalar/batched evaluation ratio")
     parser.add_argument("--min-cosearch-speedup", type=float, default=2.0,
-                        help="minimum scalar/vectorized search_model ratio")
+                        help="minimum scalar-oracle/production co-search ratio")
     parser.add_argument("--min-api-speedup", type=float, default=3.0,
                         help="minimum per-call/warm-session ratio")
     parser.add_argument("--min-budget-reduction", type=float, default=3.0,
